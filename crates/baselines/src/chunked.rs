@@ -1,6 +1,6 @@
 //! Chunked-prefill (SGLang + SARATHI-Serve) and its NanoFlow variant.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use gpusim::{ClusterSpec, CtxId, GpuSim, GroupId, KernelKind, WorkItem};
 use kvcache::KvPool;
@@ -50,8 +50,6 @@ pub struct ChunkedPrefill {
     /// The single all-GPU group lost a device; launches halt until the
     /// driver signals recovery.
     down: bool,
-    /// Crash victims whose prefix was eviction-protected at revocation.
-    crash_protected: HashSet<ReqId>,
     /// Reused per-iteration scratch (hot-loop allocation freedom).
     ctx_scratch: Vec<u64>,
     victim_scratch: Vec<ReqId>,
@@ -110,7 +108,6 @@ impl ChunkedPrefill {
             decode: DecodeBatch::new(),
             inflight: None,
             down: false,
-            crash_protected: HashSet::new(),
             ctx_scratch: Vec::new(),
             victim_scratch: Vec::new(),
             retired_scratch: Vec::new(),
@@ -185,12 +182,7 @@ impl ChunkedPrefill {
             let spec = ctx.request(id).clone();
             let table = self.table.as_mut().expect("table");
             let blocks = spec.content.blocks(table.block_size());
-            let lease = table.lease_prefix(&blocks, ctx.now());
-            if self.crash_protected.remove(&id) {
-                // Re-admitted crash victim: the lease's lock now pins the
-                // prefix, so the advisory protection comes off.
-                table.unprotect_prefix(&blocks);
-            }
+            let lease = table.lease_prefix(id, &blocks, ctx.now());
             let cached = lease.matched_tokens();
             self.waiting.pop_front();
             self.lifecycle.admit(id);
@@ -474,12 +466,7 @@ impl Scheduler for ChunkedPrefill {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
-            self.waiting.remove(pos);
-            self.lifecycle.drop_request(id);
-            return true;
-        }
-        false
+        self.lifecycle.shed_waiting(&mut self.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -493,36 +480,20 @@ impl Scheduler for ChunkedPrefill {
         self.down = true;
         self.inflight = None;
         self.macro_armed = false;
+        let table = self.table.as_mut().expect("table");
         let mut victims = Vec::new();
         // Chunked prefill has no layer checkpoints — chunk progress dies
         // with the device, so every victim re-prefills in full.
+        let class = RecoveryClass::ReprefillFull;
         for p in std::mem::take(&mut self.prefilling) {
-            let spec = ctx.request(p.id).clone();
-            let table = self.table.as_mut().expect("table");
-            let blocks = spec.content.blocks(table.block_size());
-            table.release(p.lease);
-            table.protect_prefix(&blocks);
-            self.crash_protected.insert(p.id);
-            self.lifecycle.requeue(p.id);
-            victims.push(CrashVictim {
-                id: p.id,
-                class: RecoveryClass::ReprefillFull,
-                lost_tokens: p.done_new,
-            });
+            let blocks = ctx.request(p.id).content.blocks(table.block_size());
+            table.revoke(p.id, Some(p.lease), &blocks);
+            victims.push(self.lifecycle.requeue_victim(p.id, class, p.done_new));
         }
         for slot in self.decode.drain() {
-            let spec = ctx.request(slot.id).clone();
-            let table = self.table.as_mut().expect("table");
-            let blocks = spec.content.blocks(table.block_size());
-            table.release(slot.lease);
-            table.protect_prefix(&blocks);
-            self.crash_protected.insert(slot.id);
-            self.lifecycle.requeue(slot.id);
-            victims.push(CrashVictim {
-                id: slot.id,
-                class: RecoveryClass::ReprefillFull,
-                lost_tokens: slot.context,
-            });
+            let blocks = ctx.request(slot.id).content.blocks(table.block_size());
+            table.revoke(slot.id, Some(slot.lease), &blocks);
+            victims.push(self.lifecycle.requeue_victim(slot.id, class, slot.context));
         }
         victims
     }

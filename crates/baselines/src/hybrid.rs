@@ -10,7 +10,7 @@
 //! spare partition (the decode SLO still guarded by a worst-case
 //! estimate).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use estimator::{ContentionGuard, GuardQuery, SoloPredictor};
 use gpusim::{ClusterSpec, CtxId, GroupId, LinkId};
@@ -85,8 +85,6 @@ pub struct HybridPd {
     /// The decode instance lost a device; decode and overflow prefill
     /// launches halt.
     d_down: bool,
-    /// Crash victims whose prefill-pool prefix was eviction-protected.
-    crash_protected: HashSet<ReqId>,
 }
 
 impl HybridPd {
@@ -141,7 +139,6 @@ impl HybridPd {
             overflow_count: 0,
             p_down: false,
             d_down: false,
-            crash_protected: HashSet::new(),
         }
     }
 
@@ -197,12 +194,7 @@ impl HybridPd {
                 }
                 break;
             }
-            let mut lease = table.lease_prefix(&blocks, ctx.now());
-            if self.crash_protected.remove(&id) {
-                // Re-admitted crash victim: the lease's lock now pins the
-                // prefix, so the advisory protection comes off.
-                table.unprotect_prefix(&blocks);
-            }
+            let mut lease = table.lease_prefix(id, &blocks, ctx.now());
             let seq = SeqState::new(
                 spec.input_tokens() - lease.matched_tokens(),
                 lease.matched_tokens(),
@@ -424,21 +416,6 @@ impl HybridPd {
         self.launch_decode(ctx);
         self.try_dispatch_prefills(ctx);
     }
-
-    /// Books one decode-instance crash victim: protects whatever prompt
-    /// prefix the prefill pool has cached and requeues for re-prefill.
-    fn revoke_decode_victim(&mut self, id: ReqId, context: u64, ctx: &mut ServeCtx) -> CrashVictim {
-        let spec = ctx.request(id).clone();
-        let p_table = self.p_table.as_mut().expect("table");
-        p_table.protect_prefix(&spec.content.blocks(p_table.block_size()));
-        self.crash_protected.insert(id);
-        self.lifecycle.requeue(id);
-        CrashVictim {
-            id,
-            class: RecoveryClass::ReprefillFull,
-            lost_tokens: context,
-        }
-    }
 }
 
 impl Scheduler for HybridPd {
@@ -512,12 +489,7 @@ impl Scheduler for HybridPd {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
-            self.waiting.remove(pos);
-            self.lifecycle.drop_request(id);
-            return true;
-        }
-        false
+        self.lifecycle.shed_waiting(&mut self.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -527,61 +499,56 @@ impl Scheduler for HybridPd {
         ctx: &mut ServeCtx,
     ) -> Vec<CrashVictim> {
         let half = ctx.gpu.num_gpus() / 2;
+        let p_table = self.p_table.as_mut().expect("table");
+        let d_table = self.d_table.as_mut().expect("table");
         let mut victims = Vec::new();
+        let class = RecoveryClass::ReprefillFull;
         if gpu < half {
             // Prefill instance died: only the in-flight instance batch is
             // lost; the decode instance (and any overflow prefill it is
             // multiplexing) carries on.
             self.p_down = true;
             for r in self.p_inflight.take().into_iter().flatten() {
-                let spec = ctx.request(r.id).clone();
-                let table = self.p_table.as_mut().expect("table");
-                let blocks = spec.content.blocks(table.block_size());
-                table.release(r.lease);
-                table.protect_prefix(&blocks);
-                self.crash_protected.insert(r.id);
-                self.lifecycle.requeue(r.id);
-                victims.push(CrashVictim {
-                    id: r.id,
-                    class: RecoveryClass::ReprefillFull,
-                    lost_tokens: r.seq.new_tokens,
-                });
+                let blocks = ctx.request(r.id).content.blocks(p_table.block_size());
+                p_table.revoke(r.id, Some(r.lease), &blocks);
+                let lost = r.seq.new_tokens;
+                victims.push(self.lifecycle.requeue_victim(r.id, class, lost));
             }
         } else {
             // Decode instance died: the decode batch, the multiplexed
             // overflow prefill and every context parked for admission
-            // lose their device-resident KV.
+            // lose their device-resident KV, and re-prefill from whatever
+            // prompt prefix the prefill pool keeps protected for them.
             self.d_down = true;
             self.decode_inflight = false;
             self.mux_tags.clear();
+            let mut lost = Vec::new();
             if let Some(r) = self.mux_inflight.take() {
-                self.d_table.as_mut().expect("table").release(r.lease);
-                let v = self.revoke_decode_victim(r.id, r.seq.new_tokens, ctx);
-                victims.push(v);
+                d_table.release(r.lease);
+                lost.push((r.id, r.seq.new_tokens));
             }
             for slot in self.decode.drain() {
-                self.d_table.as_mut().expect("table").release(slot.lease);
-                let v = self.revoke_decode_victim(slot.id, slot.context, ctx);
-                victims.push(v);
+                d_table.release(slot.lease);
+                lost.push((slot.id, slot.context));
             }
             for admit in std::mem::take(&mut self.pending_admit) {
                 if admit.local {
                     // Locally-prefilled contexts sit raw in the decode
                     // pool between detach and admission.
-                    self.d_table
-                        .as_mut()
-                        .expect("table")
-                        .free_private(admit.context);
+                    d_table.free_private(admit.context);
                 }
-                let v = self.revoke_decode_victim(admit.id, admit.context, ctx);
-                victims.push(v);
+                lost.push((admit.id, admit.context));
             }
             // In-flight transfers hold no decode-side allocation yet; the
             // orphaned tags complete into no-ops. Drain in tag order —
             // victim order decides the requeue event order.
             for (_, admit) in serving::order::drain_sorted(&mut self.transferring) {
-                let v = self.revoke_decode_victim(admit.id, admit.context, ctx);
-                victims.push(v);
+                lost.push((admit.id, admit.context));
+            }
+            for (id, context) in lost {
+                let blocks = ctx.request(id).content.blocks(p_table.block_size());
+                p_table.revoke(id, None, &blocks);
+                victims.push(self.lifecycle.requeue_victim(id, class, context));
             }
         }
         victims

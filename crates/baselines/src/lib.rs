@@ -42,9 +42,15 @@
 //! [`serving::Report`]. Keep decoding requests in a
 //! [`serving::DecodeBatch`]: `grow_for_iteration` handles the
 //! one-token-per-slot KV growth with tail-victim eviction and
-//! `advance_iteration` handles emission and retirement, so a new
-//! scheduler is ~the admission policy, the kernel-submission logic, and
-//! nothing else. [`SglangPd`] is the smallest complete template.
+//! `advance_iteration` handles emission and retirement. Faults need no
+//! bookkeeping of your own either: `on_shed` is one
+//! `Lifecycle::shed_waiting` call on the waiting queue, and `on_gpu_lost`
+//! hands each victim's KV to `LeaseTable::revoke` (release, protect the
+//! cached prefix until the next `lease_prefix` of that request) and books
+//! it with `Lifecycle::requeue_victim`, choosing only which requests the
+//! dead device was home to and their `RecoveryClass`. A new scheduler is
+//! ~the admission policy, the kernel-submission logic, and nothing else.
+//! [`SglangPd`] is the smallest complete template.
 //!
 //! # Examples
 //!

@@ -326,12 +326,7 @@ impl Scheduler for LoongServe {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
-            self.waiting.remove(pos);
-            self.lifecycle.drop_request(id);
-            return true;
-        }
-        false
+        self.lifecycle.shed_waiting(&mut self.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -341,6 +336,7 @@ impl Scheduler for LoongServe {
         ctx: &mut ServeCtx,
     ) -> Vec<CrashVictim> {
         let mut victims = Vec::new();
+        let class = RecoveryClass::ReprefillFull;
         if gpu < self.tp {
             // Decode group died: batched, pending and in-transit contexts
             // all lose their KV. LoongServe keeps no spare copy anywhere,
@@ -349,27 +345,17 @@ impl Scheduler for LoongServe {
             self.decode_inflight = false;
             for slot in self.decode.drain() {
                 self.d_table.as_mut().expect("table").release(slot.lease);
-                self.lifecycle.requeue(slot.id);
-                victims.push(CrashVictim {
-                    id: slot.id,
-                    class: RecoveryClass::ReprefillFull,
-                    lost_tokens: slot.context,
-                });
+                victims.push(self.lifecycle.requeue_victim(slot.id, class, slot.context));
             }
             // Drain in-transit contexts in tag order — victim order
             // decides the requeue event order.
             let inflight = serving::order::drain_sorted(&mut self.transferring);
-            for admit in std::mem::take(&mut self.pending_admit)
+            for Admit { id, context } in std::mem::take(&mut self.pending_admit)
                 .into_iter()
                 .chain(inflight.into_iter().map(|(_, a)| a))
             {
                 // Neither holds a lease yet (admission leases on join).
-                self.lifecycle.requeue(admit.id);
-                victims.push(CrashVictim {
-                    id: admit.id,
-                    class: RecoveryClass::ReprefillFull,
-                    lost_tokens: admit.context,
-                });
+                victims.push(self.lifecycle.requeue_victim(id, class, context));
             }
         } else {
             // An elastic prefill GPU died. At most one job spans it (a
@@ -394,13 +380,8 @@ impl Scheduler for LoongServe {
                     }
                 }
                 self.free_gpus.sort_unstable();
-                let spec = ctx.request(job.id).clone();
-                self.lifecycle.requeue(job.id);
-                victims.push(CrashVictim {
-                    id: job.id,
-                    class: RecoveryClass::ReprefillFull,
-                    lost_tokens: spec.input_tokens(),
-                });
+                let lost = ctx.request(job.id).input_tokens();
+                victims.push(self.lifecycle.requeue_victim(job.id, class, lost));
             }
         }
         victims

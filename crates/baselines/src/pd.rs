@@ -8,7 +8,7 @@
 //! below an aggregated deployment — the §2.3.1 drawback that shows up as
 //! stalls on cache-hungry workloads.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use gpusim::{ClusterSpec, CtxId, GroupId, LinkId};
 use modelspec::{ModelSpec, Parallelism, SeqState};
@@ -67,8 +67,6 @@ pub struct SglangPd {
     p_down: bool,
     /// The decode instance lost a device; decode launches halt.
     d_down: bool,
-    /// Crash victims whose prefill-pool prefix was eviction-protected.
-    crash_protected: HashSet<ReqId>,
 }
 
 impl SglangPd {
@@ -110,7 +108,6 @@ impl SglangPd {
             max_prefill_batch_tokens: 16_384,
             p_down: false,
             d_down: false,
-            crash_protected: HashSet::new(),
         }
     }
 
@@ -177,12 +174,7 @@ impl SglangPd {
                 break;
             }
             let table = self.p_table.as_mut().expect("table");
-            let mut lease = table.lease_prefix(&blocks, ctx.now());
-            if self.crash_protected.remove(&id) {
-                // Re-admitted crash victim: the lease's lock now pins the
-                // prefix, so the advisory protection comes off.
-                table.unprotect_prefix(&blocks);
-            }
+            let mut lease = table.lease_prefix(id, &blocks, ctx.now());
             let seq = SeqState::new(
                 spec.input_tokens() - lease.matched_tokens(),
                 lease.matched_tokens(),
@@ -301,21 +293,6 @@ impl SglangPd {
         self.decode_inflight = true;
     }
 
-    /// Books one decode-side crash victim: protects its cached prompt in
-    /// the prefill pool and requeues it for a full re-prefill.
-    fn revoke_decode_victim(&mut self, id: ReqId, context: u64, ctx: &mut ServeCtx) -> CrashVictim {
-        let spec = ctx.request(id).clone();
-        let p_table = self.p_table.as_mut().expect("table");
-        p_table.protect_prefix(&spec.content.blocks(p_table.block_size()));
-        self.crash_protected.insert(id);
-        self.lifecycle.requeue(id);
-        CrashVictim {
-            id,
-            class: RecoveryClass::ReprefillFull,
-            lost_tokens: context,
-        }
-    }
-
     fn on_decode_done(&mut self, ctx: &mut ServeCtx) {
         self.decode_inflight = false;
         for slot in self.decode.advance_iteration(ctx) {
@@ -396,12 +373,7 @@ impl Scheduler for SglangPd {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
-            self.waiting.remove(pos);
-            self.lifecycle.drop_request(id);
-            return true;
-        }
-        false
+        self.lifecycle.shed_waiting(&mut self.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -411,56 +383,49 @@ impl Scheduler for SglangPd {
         ctx: &mut ServeCtx,
     ) -> Vec<CrashVictim> {
         let half = ctx.gpu.num_gpus() / 2;
+        let p_table = self.p_table.as_mut().expect("table");
+        let d_table = self.d_table.as_mut().expect("table");
         let mut victims = Vec::new();
+        let class = RecoveryClass::ReprefillFull;
         if gpu < half {
             // Prefill instance died: only the in-flight prefill batch is
             // lost; migrated contexts and the decode instance carry on.
             self.p_down = true;
             for r in self.prefill.take().into_iter().flatten() {
-                let spec = ctx.request(r.id).clone();
-                let table = self.p_table.as_mut().expect("table");
-                let blocks = spec.content.blocks(table.block_size());
-                table.release(r.lease);
-                table.protect_prefix(&blocks);
-                self.crash_protected.insert(r.id);
-                self.d_table
-                    .as_mut()
-                    .expect("table")
-                    .free_private(r.reserved);
-                self.lifecycle.requeue(r.id);
-                victims.push(CrashVictim {
-                    id: r.id,
-                    class: RecoveryClass::ReprefillFull,
-                    lost_tokens: r.seq.new_tokens,
-                });
+                let blocks = ctx.request(r.id).content.blocks(p_table.block_size());
+                p_table.revoke(r.id, Some(r.lease), &blocks);
+                d_table.free_private(r.reserved);
+                let lost = r.seq.new_tokens;
+                victims.push(self.lifecycle.requeue_victim(r.id, class, lost));
             }
         } else {
             // Decode instance died: every active context — batched,
             // awaiting admission, or mid-transfer — loses its KV and must
-            // re-prefill from the prefill instance's cached prompt.
+            // re-prefill from the prefill instance's cached prompt, which
+            // stays protected until then.
             self.d_down = true;
             self.decode_inflight = false;
+            let mut lost = Vec::new();
             for slot in self.decode.drain() {
-                self.d_table.as_mut().expect("table").release(slot.lease);
-                victims.push(self.revoke_decode_victim(slot.id, slot.context, ctx));
+                d_table.release(slot.lease);
+                lost.push((slot.id, slot.context));
             }
-            for admit in std::mem::take(&mut self.pending_admit) {
-                self.d_table
-                    .as_mut()
-                    .expect("table")
-                    .free_private(admit.context);
-                victims.push(self.revoke_decode_victim(admit.id, admit.context, ctx));
+            // Parked and in-flight contexts hold raw reservations. In-flight
+            // transfers have no destination any more, so their orphaned
+            // tags complete into no-ops. Drain in tag order — victim order
+            // decides the requeue event order.
+            let in_flight = serving::order::drain_sorted(&mut self.transferring);
+            for admit in std::mem::take(&mut self.pending_admit)
+                .into_iter()
+                .chain(in_flight.into_iter().map(|(_, a)| a))
+            {
+                d_table.free_private(admit.context);
+                lost.push((admit.id, admit.context));
             }
-            // In-flight transfers have no destination any more: drop the
-            // reservation and let the orphaned tag complete into a no-op.
-            // Drain in tag order — victim order decides the requeue
-            // event order.
-            for (_, admit) in serving::order::drain_sorted(&mut self.transferring) {
-                self.d_table
-                    .as_mut()
-                    .expect("table")
-                    .free_private(admit.context);
-                victims.push(self.revoke_decode_victim(admit.id, admit.context, ctx));
+            for (id, context) in lost {
+                let blocks = ctx.request(id).content.blocks(p_table.block_size());
+                p_table.revoke(id, None, &blocks);
+                victims.push(self.lifecycle.requeue_victim(id, class, context));
             }
         }
         victims

@@ -12,7 +12,7 @@
 //!   never overlap spatially, so decode's memory-bound iterations leave
 //!   the compute idle (≥ 20 % worse than MuxWise in the paper's trials).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use estimator::SoloPredictor;
 use gpusim::{ClusterSpec, CtxId, GroupId, KernelKind};
@@ -46,8 +46,6 @@ struct Common {
     decode_inflight: bool,
     /// The all-GPU group lost a device; launches halt until recovery.
     down: bool,
-    /// Crash victims whose prefix was eviction-protected at revocation.
-    crash_protected: HashSet<ReqId>,
 }
 
 impl Common {
@@ -64,19 +62,7 @@ impl Common {
             decode: DecodeBatch::new(),
             decode_inflight: false,
             down: false,
-            crash_protected: HashSet::new(),
         }
-    }
-
-    /// Sheds a still-queued request (watchdog deadline path); `false` if
-    /// the request already left the waiting queue.
-    fn shed(&mut self, id: ReqId) -> bool {
-        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
-            self.waiting.remove(pos);
-            self.lifecycle.drop_request(id);
-            return true;
-        }
-        false
     }
 
     fn admit_one(&mut self, ctx: &mut ServeCtx) -> Option<PrefillReq> {
@@ -97,12 +83,7 @@ impl Common {
             }
             return None;
         }
-        let mut lease = table.lease_prefix(&blocks, ctx.now());
-        if self.crash_protected.remove(&id) {
-            // Re-admitted crash victim: the lease's lock now pins the
-            // prefix, so the advisory protection comes off.
-            table.unprotect_prefix(&blocks);
-        }
+        let mut lease = table.lease_prefix(id, &blocks, ctx.now());
         self.waiting.pop_front();
         self.lifecycle.admit(id);
         let seq = SeqState::new(
@@ -165,29 +146,29 @@ impl Common {
         }
     }
 
-    /// Releases one victim's lease, eviction-protects its prefix for the
-    /// retry, and requeues it in the lifecycle.
-    fn revoke(&mut self, id: ReqId, lease: KvLease, ctx: &mut ServeCtx) {
-        let spec = ctx.request(id).clone();
+    /// Takes the engine down after a fail-stop of its all-GPU group and
+    /// revokes everything: the in-flight `prefill` (recovering as its
+    /// class, with its lost tokens), then every decode slot, which must
+    /// re-prefill its accumulated context.
+    fn revoke_all(
+        &mut self,
+        prefill: Option<(PrefillReq, RecoveryClass, u64)>,
+        ctx: &ServeCtx,
+    ) -> Vec<CrashVictim> {
+        self.down = true;
+        self.decode_inflight = false;
         let table = self.table.as_mut().expect("table");
-        let blocks = spec.content.blocks(table.block_size());
-        table.release(lease);
-        table.protect_prefix(&blocks);
-        self.crash_protected.insert(id);
-        self.lifecycle.requeue(id);
-    }
-
-    /// Drains the decode batch after a fail-stop: every slot loses its
-    /// device-resident KV and must re-prefill its accumulated context.
-    fn revoke_decode(&mut self, ctx: &mut ServeCtx) -> Vec<CrashVictim> {
         let mut victims = Vec::new();
+        if let Some((r, class, lost)) = prefill {
+            let blocks = ctx.request(r.id).content.blocks(table.block_size());
+            table.revoke(r.id, Some(r.lease), &blocks);
+            victims.push(self.lifecycle.requeue_victim(r.id, class, lost));
+        }
         for slot in self.decode.drain() {
-            self.revoke(slot.id, slot.lease, ctx);
-            victims.push(CrashVictim {
-                id: slot.id,
-                class: RecoveryClass::ReprefillFull,
-                lost_tokens: slot.context,
-            });
+            let blocks = ctx.request(slot.id).content.blocks(table.block_size());
+            table.revoke(slot.id, Some(slot.lease), &blocks);
+            let class = RecoveryClass::ReprefillFull;
+            victims.push(self.lifecycle.requeue_victim(slot.id, class, slot.context));
         }
         victims
     }
@@ -317,7 +298,9 @@ impl Scheduler for WindServe {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        self.common.shed(id)
+        self.common
+            .lifecycle
+            .shed_waiting(&mut self.common.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -327,22 +310,13 @@ impl Scheduler for WindServe {
         ctx: &mut ServeCtx,
     ) -> Vec<CrashVictim> {
         // The 50/50 split runs both streams on one all-GPU group, so a
-        // single device death takes the whole engine down.
-        self.common.down = true;
-        self.common.decode_inflight = false;
-        let mut victims = Vec::new();
-        if let Some(r) = self.prefill.take() {
-            // Whole-phase prefill launches: no checkpoint to resume from.
+        // single device death takes the whole engine down. Whole-phase
+        // prefill launches leave no checkpoint to resume from.
+        let prefill = self.prefill.take().map(|r| {
             let lost = r.seq.new_tokens;
-            self.common.revoke(r.id, r.lease, ctx);
-            victims.push(CrashVictim {
-                id: r.id,
-                class: RecoveryClass::ReprefillFull,
-                lost_tokens: lost,
-            });
-        }
-        victims.extend(self.common.revoke_decode(ctx));
-        victims
+            (r, RecoveryClass::ReprefillFull, lost)
+        });
+        self.common.revoke_all(prefill, ctx)
     }
 
     fn on_gpu_recovered(&mut self, _gpu: u32, ctx: &mut ServeCtx) {
@@ -527,7 +501,9 @@ impl Scheduler for TemporalMux {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        self.common.shed(id)
+        self.common
+            .lifecycle
+            .shed_waiting(&mut self.common.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -536,27 +512,17 @@ impl Scheduler for TemporalMux {
         _cancelled: &[u64],
         ctx: &mut ServeCtx,
     ) -> Vec<CrashVictim> {
-        self.common.down = true;
-        self.common.decode_inflight = false;
         self.layers_inflight = 0;
-        let mut victims = Vec::new();
-        if let Some(r) = self.prefill.take() {
-            // Layer-wise launches double as checkpoints: the retry skips
-            // the layers that had already completed before the crash.
-            let checkpoint = self.layers_done;
+        // Layer-wise launches double as checkpoints: the retry skips the
+        // layers that had already completed before the crash.
+        let prefill = self.prefill.take().map(|r| {
+            let checkpoint = std::mem::take(&mut self.layers_done);
             if checkpoint > 0 {
                 self.resume_layers.insert(r.id, checkpoint);
             }
-            self.layers_done = 0;
-            self.common.revoke(r.id, r.lease, ctx);
-            victims.push(CrashVictim {
-                id: r.id,
-                class: RecoveryClass::ResumeFromLayer(checkpoint),
-                lost_tokens: 0,
-            });
-        }
-        victims.extend(self.common.revoke_decode(ctx));
-        victims
+            (r, RecoveryClass::ResumeFromLayer(checkpoint), 0)
+        });
+        self.common.revoke_all(prefill, ctx)
     }
 
     fn on_gpu_recovered(&mut self, _gpu: u32, ctx: &mut ServeCtx) {

@@ -15,9 +15,9 @@ use workload::{generate_sessions, RequestSpec, WorkloadKind};
 /// commits context + output (what an aggregated serving system caches).
 fn replay(reqs: &[RequestSpec], capacity_tokens: u64) -> f64 {
     let mut table = LeaseTable::new(capacity_tokens, 64);
-    for r in reqs {
+    for (id, r) in reqs.iter().enumerate() {
         let blocks = r.content.blocks(64);
-        let lease = table.lease_prefix(&blocks, r.arrival);
+        let lease = table.lease_prefix(id, &blocks, r.arrival);
         table.release(lease);
         let mut full = r.content.clone();
         full.push(r.session, r.output_tokens);

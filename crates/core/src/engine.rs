@@ -1,7 +1,7 @@
 //! The MuxWise scheduler: bubble-less multiplex engine + SLO-aware
 //! dispatcher.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use estimator::GuardQuery;
 use gpusim::{CtxId, GroupId};
@@ -117,9 +117,6 @@ pub struct MuxWise {
     /// layer-wise prefill lets a victim restart from its last completed
     /// layer instead of layer zero.
     resume_layers: HashMap<ReqId, u32>,
-    /// Victims whose cached prefix was eviction-protected at revocation;
-    /// protection is lifted at re-admission.
-    crash_protected: HashSet<ReqId>,
 
     host_busy_until: SimTime,
     next_tag: u64,
@@ -207,7 +204,6 @@ impl MuxWise {
             fault_mode: false,
             down: false,
             resume_layers: HashMap::new(),
-            crash_protected: HashSet::new(),
             host_busy_until: SimTime::ZERO,
             next_tag: 1,
             next_gen: 1,
@@ -526,15 +522,10 @@ impl MuxWise {
                 }
                 break;
             }
-            let mut lease = table.lease_prefix(&blocks, ctx.now());
+            let mut lease = table.lease_prefix(id, &blocks, ctx.now());
             // The lock is taken after the peek; eviction in between can
             // only shrink the match, which is safe (more recompute).
             let reused = lease.matched_tokens();
-            if self.crash_protected.remove(&id) {
-                // Crash victim re-admitted: its prefix is locked by the
-                // lease now, so the advisory protection can come off.
-                table.unprotect_prefix(&blocks);
-            }
             let seq = SeqState::new(spec.input_tokens() - reused, reused);
             lease.absorb_private(seq.new_tokens);
             new_total += seq.new_tokens;
@@ -780,9 +771,6 @@ impl MuxWise {
             while self.decode.len() < self.cfg.max_decode_batch && !self.pending_join.is_empty() {
                 self.decode.push(self.pending_join.remove(0));
             }
-            if self.decode.is_empty() {
-                return;
-            }
         }
         debug_assert!(
             !fast || (self.pending_join.is_empty() && !self.decode.is_empty()),
@@ -807,9 +795,12 @@ impl MuxWise {
                 self.waiting.push_front(id);
                 self.lifecycle.requeue(id);
             }
-            if self.decode.is_empty() {
-                return;
-            }
+        }
+        if self.decode.is_empty() {
+            // No decode boundary follows, so a prefill launch deferred to
+            // this one must go now or never.
+            self.launch_prefill_layers(ctx);
+            return;
         }
         if fast && self.macro_partition_stable(ctx) {
             // Unchanged slot set: every context advanced by exactly one
@@ -963,7 +954,7 @@ impl MuxWise {
             self.launch_prefill_layers(ctx);
             return;
         }
-        let mut lease = table.lease_prefix(&blocks, ctx.now());
+        let mut lease = table.lease_prefix(id, &blocks, ctx.now());
         let seq = SeqState::new(
             spec.input_tokens() - lease.matched_tokens(),
             lease.matched_tokens(),
@@ -1098,12 +1089,7 @@ impl Scheduler for MuxWise {
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
         self.macro_armed = false;
-        if let Some(pos) = self.waiting.iter().position(|&w| w == id) {
-            self.waiting.remove(pos);
-            self.lifecycle.drop_request(id);
-            return true;
-        }
-        false
+        self.lifecycle.shed_waiting(&mut self.waiting, id)
     }
 
     fn on_gpu_lost(
@@ -1121,36 +1107,24 @@ impl Scheduler for MuxWise {
         self.tags.clear();
         self.decode_inflight = None;
         self.decode_blocked = false;
+        let table = self.table.as_mut().expect("table");
         let mut victims = Vec::new();
         // Prefill victims resume from their last completed layer (the
         // layer-wise launch IS the checkpoint); their freshly computed
-        // private KV below that layer is lost with the device, so the
-        // lease is released and the prefix protected for re-admission.
+        // private KV below that layer is lost with the device.
         for job in self.prefill.take().into_iter().chain(self.preempted.take()) {
             for r in job.reqs {
-                let spec = ctx.request(r.id).clone();
-                let table = self.table.as_mut().expect("table");
-                let blocks = spec.content.blocks(table.block_size());
-                table.release(r.lease);
-                table.protect_prefix(&blocks);
-                self.crash_protected.insert(r.id);
-                if self.cfg.layer_wise && job.layers_done > 0 {
-                    self.resume_layers.insert(r.id, job.layers_done);
-                }
-                self.lifecycle.requeue(r.id);
-                victims.push(CrashVictim {
-                    id: r.id,
-                    class: if self.cfg.layer_wise {
-                        RecoveryClass::ResumeFromLayer(job.layers_done)
-                    } else {
-                        RecoveryClass::ReprefillFull
-                    },
-                    lost_tokens: if self.cfg.layer_wise {
-                        0
-                    } else {
-                        r.seq.new_tokens
-                    },
-                });
+                let blocks = ctx.request(r.id).content.blocks(table.block_size());
+                table.revoke(r.id, Some(r.lease), &blocks);
+                let (class, lost) = if self.cfg.layer_wise {
+                    if job.layers_done > 0 {
+                        self.resume_layers.insert(r.id, job.layers_done);
+                    }
+                    (RecoveryClass::ResumeFromLayer(job.layers_done), 0)
+                } else {
+                    (RecoveryClass::ReprefillFull, r.seq.new_tokens)
+                };
+                victims.push(self.lifecycle.requeue_victim(r.id, class, lost));
             }
         }
         // Decode victims (joined or pending join) must re-prefill their
@@ -1158,18 +1132,10 @@ impl Scheduler for MuxWise {
         let mut slots = std::mem::take(&mut self.pending_join);
         slots.extend(self.decode.drain());
         for slot in slots {
-            let spec = ctx.request(slot.id).clone();
-            let table = self.table.as_mut().expect("table");
-            let blocks = spec.content.blocks(table.block_size());
-            table.release(slot.lease);
-            table.protect_prefix(&blocks);
-            self.crash_protected.insert(slot.id);
-            self.lifecycle.requeue(slot.id);
-            victims.push(CrashVictim {
-                id: slot.id,
-                class: RecoveryClass::ReprefillFull,
-                lost_tokens: slot.context,
-            });
+            let blocks = ctx.request(slot.id).content.blocks(table.block_size());
+            table.revoke(slot.id, Some(slot.lease), &blocks);
+            let class = RecoveryClass::ReprefillFull;
+            victims.push(self.lifecycle.requeue_victim(slot.id, class, slot.context));
         }
         victims
     }
@@ -1201,9 +1167,9 @@ impl Scheduler for MuxWise {
 mod tests {
     use super::*;
     use gpusim::{ClusterSpec, GpuSim};
-    use serving::Driver;
+    use serving::{Driver, FaultPlan};
     use simcore::SimRng;
-    use workload::{generate, WorkloadKind};
+    use workload::{generate, ContentSpec, RequestSpec, WorkloadKind};
 
     fn est8b() -> Estimators {
         Estimators::profile(&ModelSpec::llama8b(), &ClusterSpec::dgx_a100(), 8)
@@ -1407,6 +1373,56 @@ mod tests {
             before,
             engine.guard_cells()
         );
+    }
+
+    #[test]
+    fn prefill_deferred_to_the_last_decode_boundary_still_launches() {
+        // Regression: a prefill launch deferred to the next decode
+        // boundary (partition stale, prefill badly undersized) was lost
+        // when that decode iteration retired the last slot — the empty
+        // batch returned before re-launching prefill, leaving the job
+        // with no layer in flight and nothing to wake it. Request 3
+        // stranded in the job with its lease held. Exact arrival instants
+        // (a trace replayed on one member of a spiked fleet, reduced);
+        // the earlier latency spike leaves the guard re-learning online.
+        let cluster = ClusterSpec::dgx_a100();
+        let model = ModelSpec::llama8b();
+        let slo = SloSpec::llama8b();
+        let turns = [
+            (196_760_932_166, 294, 0, 5_671, 0, 1_208),
+            (203_527_912_204, 237, 5, 16_423, 13_160, 128),
+            (696_294_954_067, 909, 0, 5_853, 0, 63),
+            (696_508_062_722, 891, 3, 12_619, 8_628, 527),
+        ];
+        let reqs = turns
+            .iter()
+            .enumerate()
+            .map(
+                |(i, &(at, session, turn, tokens, prior, out))| RequestSpec {
+                    id: i as u64,
+                    arrival: SimTime::from_nanos(at),
+                    session,
+                    turn,
+                    content: ContentSpec::single(session, tokens),
+                    prior_context: prior,
+                    output_tokens: out,
+                },
+            )
+            .collect();
+        let spike = FaultPlan::single(
+            FaultKind::KernelLatencySpike {
+                mult: 20.0,
+                duration: SimDuration::from_secs(300.0),
+            },
+            SimTime::from_secs(200.0),
+            SimTime::from_secs(500.0),
+        );
+        let mut engine = MuxWise::new(&model, &cluster, 8, slo, est8b(), MuxWiseConfig::default());
+        let rep = Driver::new(GpuSim::from_cluster(&cluster), reqs, slo)
+            .with_faults(spike)
+            .run(&mut engine);
+        assert_eq!(rep.finished, rep.total);
+        assert_eq!(rep.counters.leaked_leases, 0);
     }
 
     #[test]

@@ -671,9 +671,16 @@ impl Fleet {
         // A permanently crashed member ends its run stalled with
         // requests still buffered — its watchdog clock froze with the
         // last event, so deadline sheds never fired. Close the books
-        // explicitly; on resolved runs this is a no-op.
+        // explicitly; on every other member this is a no-op, and work
+        // stranded there is an engine stall, not a dead device.
         for m in &mut self.members {
-            m.instance.shed_unresolved();
+            let closed = m.instance.shed_unresolved();
+            debug_assert!(
+                closed == 0 || m.instance.permanently_crashed(),
+                "{} request(s) stranded on live member {}",
+                closed,
+                m.label
+            );
         }
         // Pairs whose copies both ended without a finish (crashed or
         // shed on both members) are now fully resolved — retire them
@@ -953,7 +960,7 @@ mod tests {
             let now = ctx.now();
             let spec = ctx.request(id);
             let blocks = spec.content.blocks(self.table.block_size());
-            let lease = self.table.lease_prefix(&blocks, now);
+            let lease = self.table.lease_prefix(id, &blocks, now);
             let fresh = spec.input_tokens() - lease.matched_tokens();
             if self.leases.len() <= id {
                 self.leases.resize_with(id + 1, || None);

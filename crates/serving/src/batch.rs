@@ -246,7 +246,7 @@ mod tests {
         let blocks = Block::sequence(1, 64, 8);
         table.insert(&blocks, t(0.0));
         let mut batch = DecodeBatch::new();
-        let mut lease = table.lease_prefix(&blocks, t(0.1));
+        let mut lease = table.lease_prefix(0, &blocks, t(0.1));
         assert!(table.try_alloc_private(30, t(0.1)));
         lease.absorb_private(30);
         batch.push(DecodeSlot {

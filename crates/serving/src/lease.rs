@@ -9,13 +9,22 @@
 //! be returned through its [`LeaseTable`], which counts outstanding
 //! leases so the driver can detect leaks when a run ends.
 //!
+//! The table also owns crash revocation: [`LeaseTable::revoke`] releases
+//! a fail-stop victim's lease and eviction-protects its cached prefix
+//! until the victim's next [`LeaseTable::lease_prefix`], so no engine
+//! keeps protection bookkeeping of its own.
+//!
 //! The table deliberately reproduces the exact pool-operation order of
 //! the hand-written code paths it replaced (release = unlock → free,
 //! retire = unlock → free → insert, migrate = insert → relock → unlock →
 //! free), so porting an engine onto it changes no simulation outcome.
 
+use std::collections::HashSet;
+
 use kvcache::{Block, KvPool, MatchOutcome, PoolStats};
 use simcore::SimTime;
+
+use crate::request::ReqId;
 
 /// The KV resources one request holds: an eviction lock on its cached
 /// prefix plus the private tokens reserved for its new KV.
@@ -61,6 +70,9 @@ impl KvLease {
 pub struct LeaseTable {
     pool: KvPool,
     outstanding: usize,
+    /// Crash victims whose prefix [`LeaseTable::revoke`] protected; the
+    /// protection comes off at their next [`LeaseTable::lease_prefix`].
+    revoked: HashSet<ReqId>,
 }
 
 impl LeaseTable {
@@ -70,6 +82,7 @@ impl LeaseTable {
         LeaseTable {
             pool: KvPool::new(capacity_tokens, block_size),
             outstanding: 0,
+            revoked: HashSet::new(),
         }
     }
 
@@ -143,29 +156,33 @@ impl LeaseTable {
         self.pool.insert(blocks, now)
     }
 
-    /// Marks the cached prefix of `blocks` eviction-protected (see
-    /// [`KvPool::protect_prefix`]): LRU pressure — including capacity
-    /// shrinks — takes an unprotected victim first. Crash failover uses
-    /// this on revoked requests' prefixes so a [`LeaseTable::set_capacity`]
-    /// shrink between revocation and re-admission does not evict exactly
-    /// the state the re-prefill needs.
-    pub fn protect_prefix(&mut self, blocks: &[Block]) {
+    /// Revokes crash victim `id`: releases `lease` if it held one on this
+    /// table, then eviction-protects the cached prefix of `blocks` (see
+    /// [`KvPool::protect_prefix`]) so that LRU pressure — including a
+    /// [`LeaseTable::set_capacity`] shrink before re-admission — takes an
+    /// unprotected victim first and keeps the state the retry needs.
+    /// The table remembers `id`; its next [`LeaseTable::lease_prefix`]
+    /// lifts the protection.
+    pub fn revoke(&mut self, id: ReqId, lease: Option<KvLease>, blocks: &[Block]) {
+        if let Some(lease) = lease {
+            self.release(lease);
+        }
         self.pool.protect_prefix(blocks);
+        self.revoked.insert(id);
     }
 
-    /// Clears protection set by [`LeaseTable::protect_prefix`]
-    /// (idempotent; evicted entries are simply absent).
-    pub fn unprotect_prefix(&mut self, blocks: &[Block]) {
-        self.pool.unprotect_prefix(blocks);
-    }
-
-    /// Locks the longest cached prefix of `blocks` and opens a lease for
-    /// it (hit statistics recorded). The lease starts with zero private
-    /// tokens; attribute the request's working allocation with
-    /// [`KvLease::absorb_private`].
-    pub fn lease_prefix(&mut self, blocks: &[Block], now: SimTime) -> KvLease {
+    /// Locks the longest cached prefix of `blocks` for request `id` and
+    /// opens a lease for it (hit statistics recorded). The lease starts
+    /// with zero private tokens; attribute the request's working
+    /// allocation with [`KvLease::absorb_private`]. If `id` is a crash
+    /// victim [`LeaseTable::revoke`] protected, the protection comes off
+    /// once the lock pins the prefix.
+    pub fn lease_prefix(&mut self, id: ReqId, blocks: &[Block], now: SimTime) -> KvLease {
         let lock = self.pool.match_prefix(blocks, now);
         self.outstanding += 1;
+        if self.revoked.remove(&id) {
+            self.pool.unprotect_prefix(blocks);
+        }
         KvLease { lock, private: 0 }
     }
 
@@ -261,7 +278,7 @@ mod tests {
         let mut table = LeaseTable::new(10_000, 64);
         let blocks = Block::sequence(1, 640, 64);
         table.insert(&blocks, t(0.0));
-        let mut lease = table.lease_prefix(&blocks, t(1.0));
+        let mut lease = table.lease_prefix(0, &blocks, t(1.0));
         assert_eq!(lease.matched_tokens(), 640);
         assert!(table.try_alloc_private(100, t(1.0)));
         lease.absorb_private(100);
@@ -276,7 +293,7 @@ mod tests {
     fn release_and_commit_caches_the_context() {
         let mut table = LeaseTable::new(10_000, 64);
         let blocks = Block::sequence(2, 128, 64);
-        let mut lease = table.lease_prefix(&blocks, t(0.0));
+        let mut lease = table.lease_prefix(0, &blocks, t(0.0));
         assert!(table.try_alloc_private(128, t(0.0)));
         lease.absorb_private(128);
         assert!(table.release_and_commit(lease, &blocks, t(1.0)));
@@ -289,7 +306,7 @@ mod tests {
     fn migrate_swaps_lock_and_frees_private() {
         let mut table = LeaseTable::new(10_000, 64);
         let blocks = Block::sequence(3, 256, 64);
-        let mut lease = table.lease_prefix(&blocks, t(0.0));
+        let mut lease = table.lease_prefix(0, &blocks, t(0.0));
         assert!(table.try_alloc_private(256, t(0.0)));
         lease.absorb_private(256);
         table.migrate(&mut lease, &blocks, t(1.0));
@@ -307,7 +324,7 @@ mod tests {
         let mut table = LeaseTable::new(64, 64);
         let small = Block::sequence(4, 64, 64);
         table.insert(&small, t(0.0));
-        let mut lease = table.lease_prefix(&small, t(0.1));
+        let mut lease = table.lease_prefix(0, &small, t(0.1));
         lease.absorb_private(0);
         let big = Block::sequence(5, 128, 64);
         table.migrate(&mut lease, &big, t(1.0));
@@ -332,24 +349,33 @@ mod tests {
 
     #[test]
     fn shrink_prefers_unprotected_victim_over_decode_victims_prefix() {
-        // Regression (ISSUE 4 satellite): after a crash bulk-revokes a
-        // decode batch, the victims' prefixes are unlocked and LRU-cold;
-        // a concurrent KvShrink used to evict them first, forcing a full
-        // re-prefill on re-admission. Protection must redirect the
-        // shrink to the unprotected alternative.
+        // Regression: after a crash bulk-revokes a decode batch, the
+        // victims' prefixes are unlocked and LRU-cold; a concurrent
+        // KvShrink used to evict them first, forcing a full re-prefill on
+        // re-admission. Revocation's protection must redirect the shrink
+        // to the unprotected alternative, and re-leasing must lift it.
         let mut table = LeaseTable::new(128, 64);
         let victim = Block::sequence(1, 64, 64);
+        let other = Block::sequence(2, 64, 64);
         table.insert(&victim, t(0.0));
-        table.insert(&Block::sequence(2, 64, 64), t(1.0));
-        table.protect_prefix(&victim);
+        let held = table.lease_prefix(7, &victim, t(0.5));
+        table.insert(&other, t(1.0));
+        table.revoke(7, Some(held), &victim);
+        assert_eq!(table.outstanding(), 0);
         table.set_capacity(64, t(2.0));
         assert_eq!(table.peek_prefix(&victim), 64);
-        assert_eq!(table.peek_prefix(&Block::sequence(2, 64, 64)), 0);
-        // Re-admission: lease the protected prefix, then unprotect.
-        let lease = table.lease_prefix(&victim, t(3.0));
-        table.unprotect_prefix(&victim);
+        assert_eq!(table.peek_prefix(&other), 0);
+        // Re-admission: leasing the protected prefix lifts protection.
+        let lease = table.lease_prefix(7, &victim, t(3.0));
         assert_eq!(lease.matched_tokens(), 64);
         table.release(lease);
+        // Plain LRU again: the victim (accessed at 3.0) is now older than
+        // the re-inserted alternative, so the next shrink evicts it.
+        table.set_capacity(128, t(4.0));
+        table.insert(&other, t(4.0));
+        table.set_capacity(64, t(5.0));
+        assert_eq!(table.peek_prefix(&victim), 0);
+        assert_eq!(table.peek_prefix(&other), 64);
         table.pool().check_invariants();
     }
 
@@ -357,7 +383,7 @@ mod tests {
     fn outstanding_counts_leaks() {
         let mut table = LeaseTable::new(1_000, 64);
         let blocks = Block::sequence(6, 64, 64);
-        let lease = table.lease_prefix(&blocks, t(0.0));
+        let lease = table.lease_prefix(0, &blocks, t(0.0));
         assert_eq!(table.outstanding(), 1);
         // Dropping the lease without returning it leaves the count high —
         // exactly what the driver's end-of-run leak detector reports.
@@ -371,7 +397,7 @@ mod tests {
         let mut table = LeaseTable::new(1_000, 64);
         let blocks = Block::sequence(7, 64, 64);
         table.insert(&blocks, t(0.0));
-        let lease = table.lease_prefix(&blocks, t(1.0));
+        let lease = table.lease_prefix(0, &blocks, t(1.0));
         table.detach(lease);
     }
 }

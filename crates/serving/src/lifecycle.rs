@@ -9,7 +9,15 @@
 //! illegal transitions (decoding before prefill completes, reviving a
 //! finished request), and maintains the uniform [`EngineCounters`] the
 //! driver folds into every report.
+//!
+//! It also books the two ways a request leaves an engine early: a crash
+//! victim is requeued with [`Lifecycle::requeue_victim`], and a request
+//! the watchdog sheds while it still waits is dropped with
+//! [`Lifecycle::shed_waiting`].
 
+use std::collections::VecDeque;
+
+use crate::recovery::{CrashVictim, RecoveryClass};
 use crate::request::ReqId;
 
 /// Where a request currently is in its life.
@@ -168,6 +176,37 @@ impl Lifecycle {
     /// Abandons `id` (`Queued/Prefilling → Dropped`).
     pub fn drop_request(&mut self, id: ReqId) {
         self.transition(id, Stage::Dropped);
+    }
+
+    /// Requeues crash victim `id` (`Prefilling/Decoding → Queued`) and
+    /// builds the [`CrashVictim`] the engine reports from
+    /// [`crate::Scheduler::on_gpu_lost`]. The engine decides `class` and
+    /// `lost_tokens`; its KV goes back through
+    /// [`crate::LeaseTable::revoke`].
+    pub fn requeue_victim(
+        &mut self,
+        id: ReqId,
+        class: RecoveryClass,
+        lost_tokens: u64,
+    ) -> CrashVictim {
+        self.requeue(id);
+        CrashVictim {
+            id,
+            class,
+            lost_tokens,
+        }
+    }
+
+    /// Sheds `id` if it is still in `waiting`: removes it and drops it
+    /// (`Queued → Dropped`). Returns whether it was found, which is what
+    /// [`crate::Scheduler::on_shed`] reports.
+    pub fn shed_waiting(&mut self, waiting: &mut VecDeque<ReqId>, id: ReqId) -> bool {
+        let Some(pos) = waiting.iter().position(|&w| w == id) else {
+            return false;
+        };
+        waiting.remove(pos);
+        self.drop_request(id);
+        true
     }
 
     /// Records a prefill preemption (counter only; the victim's stage

@@ -12,6 +12,7 @@
 #   ./scripts/check.sh fleet-smoke     # fleet router tier: leaks, accounting, thread identity
 #   ./scripts/check.sh fleet-chaos-smoke  # fleet failover: a victim must migrate and finish elsewhere
 #   ./scripts/check.sh gray-smoke      # gray failures: hedged dispatch, cancelled books, thread identity
+#   ./scripts/check.sh perfbench       # build the benchmark (its own workspace, outside `cargo test`)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,6 +58,11 @@ if [[ "${1:-}" == "gray-smoke" ]]; then
     exit 0
 fi
 
+if [[ "${1:-}" == "perfbench" ]]; then
+    cargo build --release --offline --manifest-path perfbench/Cargo.toml
+    exit 0
+fi
+
 if [[ "${1:-}" == "chaos-smoke" ]]; then
     cargo run --release -q -p bench --bin chaos -- --smoke
     exit 0
@@ -72,6 +78,7 @@ cargo clippy --all-targets -- -D warnings
 cargo run --release -q -p simlint
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet
 cargo test -q
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
 cargo run --release -q -p bench --bin chaos -- --smoke
 cargo run --release -q -p bench --bin chaos -- --recovery-smoke
 cargo run --release -q -p bench --bin fleet -- --smoke

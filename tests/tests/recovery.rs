@@ -2,7 +2,7 @@
 //! instant — no panic, no leaked KV lease, every request either finished
 //! or shed — and crash runs must replay bit-identically across threads.
 
-use baselines::{ChunkedPrefill, LoongServe, SglangPd, TemporalMux, WindServe};
+use baselines::{ChunkedPrefill, HybridPd, LoongServe, SglangPd, TemporalMux, WindServe};
 use estimator::SoloPredictor;
 use gpusim::{ClusterSpec, GpuSim};
 use modelspec::{ModelSpec, Parallelism};
@@ -17,10 +17,12 @@ use workload::{generate, WorkloadKind};
 fn engine_names() -> Vec<&'static str> {
     vec![
         "muxwise",
+        "muxwise-preempt",
         "chunked",
         "nanoflow",
         "loongserve",
         "sglang-pd",
+        "hybrid-pd",
         "windserve",
         "temporal",
     ]
@@ -42,10 +44,31 @@ fn build(name: &str) -> Box<dyn Scheduler> {
                 MuxWiseConfig::default(),
             ))
         }
+        "muxwise-preempt" => {
+            let est = Estimators::profile(&model, &cluster, 8);
+            Box::new(MuxWise::new(
+                &model,
+                &cluster,
+                8,
+                slo,
+                est,
+                MuxWiseConfig::with_preemption(),
+            ))
+        }
         "chunked" => Box::new(ChunkedPrefill::tuned(&model, &cluster, 8, slo)),
         "nanoflow" => Box::new(ChunkedPrefill::nanoflow(&model, &cluster, 8, slo)),
         "loongserve" => Box::new(LoongServe::new(&model, &cluster, 2, slo)),
         "sglang-pd" => Box::new(SglangPd::new(&model, &cluster, slo)),
+        "hybrid-pd" => {
+            let est = Estimators::profile(&model, &cluster, 8);
+            Box::new(HybridPd::new(
+                &model,
+                &cluster,
+                slo,
+                est.predictor,
+                est.guard,
+            ))
+        }
         "windserve" => Box::new(WindServe::new(&model, &cluster, 8, slo)),
         "temporal" => {
             let par = Parallelism::tp(8, cluster.nvlink_gbs);

@@ -17,12 +17,17 @@
 //! distinct arrival instant `t` in the trace, every instance is stepped
 //! to `t` ([`serving::Instance::step_until`]), then the arrivals at `t`
 //! are routed in trace order against signals read from the settled
-//! instances. Between barriers instances share no state, so the stepping
-//! order cannot matter; signals are computed and routed sequentially in
-//! instance-index order with strict-`>` score comparison (lowest index
-//! wins ties). Fleet runs therefore replay bit-identically at any thread
-//! count — [`Fleet::with_threads`] only chooses how many instances step
-//! concurrently between barriers, which the proptests in
+//! instances. An instance whose last step reported no event before `t`
+//! ([`serving::StepOutcome::Pending`] at or after `t`, or `Idle`), and
+//! that the fleet has not touched since, is skipped: stepping it would
+//! return without changing anything. Prefix probes go only to the
+//! members a [`HolderIndex`] lists under the request's first block; the
+//! others would probe 0. Between barriers instances share no state, so
+//! the stepping order cannot matter; signals are computed and routed
+//! sequentially in instance-index order with strict-`>` score comparison
+//! (lowest index wins ties). Fleet runs therefore replay bit-identically
+//! at any thread count — [`Fleet::with_threads`] only chooses how many
+//! instances step concurrently between barriers, which the proptests in
 //! `tests/tests/fleet.rs` pin down.
 //!
 //! # Examples
@@ -45,12 +50,13 @@
 use simcore::{SimDuration, SimTime};
 
 use kvcache::Block;
-use serving::{CancelOutcome, Driver, Instance, Report, Scheduler};
+use serving::{CancelOutcome, Driver, Instance, Report, ReqId, Scheduler, StepOutcome};
 use workload::RequestSpec;
 
 mod failover;
 mod health;
 mod hedge;
+mod holders;
 mod replicate;
 mod router;
 
@@ -62,6 +68,7 @@ pub use health::{
 pub use hedge::{
     HedgeConfig, HedgeEngine, HedgePair, HedgeStats, OverloadStats, PairStatus, RetryBudget,
 };
+pub use holders::HolderIndex;
 pub use replicate::{HotPrefix, ReplicationConfig, ReplicationStats, Replicator};
 pub use router::{Decision, InstanceSignals, PrefixAffinity, RoundRobin, RoutePolicy};
 
@@ -84,6 +91,39 @@ struct FleetMember {
     scheduler: Box<dyn Scheduler>,
     class: PathClass,
     label: String,
+    /// The member is stepped at a barrier `t` only when `due < t`: the
+    /// time of its earliest pending event from the last
+    /// [`StepOutcome::Pending`], `SimTime::MAX` when it went idle, and
+    /// `SimTime::ZERO` after the fleet changed it (admission, cancel,
+    /// drain, replica insert). A bounded step of a member with no event
+    /// before the bound returns without touching state, so skipping it
+    /// is exact.
+    due: SimTime,
+    /// Whether the member's lease tables may have logged first blocks
+    /// the holder index has not read: set whenever its scheduler ran.
+    unindexed: bool,
+}
+
+impl FleetMember {
+    /// Admits `spec` and marks the member due.
+    fn admit(&mut self, spec: RequestSpec) -> ReqId {
+        self.due = SimTime::ZERO;
+        self.instance.admit(spec)
+    }
+
+    /// Steps the member to `t` if it has an event before `t`.
+    // simlint: hot
+    fn step_if_due(&mut self, t: SimTime) {
+        if self.due >= t {
+            return;
+        }
+        self.due = match self.instance.step_until(self.scheduler.as_mut(), t) {
+            StepOutcome::Pending(next) => next,
+            StepOutcome::Idle => SimTime::MAX,
+            StepOutcome::Done => SimTime::ZERO,
+        };
+        self.unindexed = true;
+    }
 }
 
 // Members are stepped on scoped worker threads between merge barriers;
@@ -367,6 +407,8 @@ impl Fleet {
             scheduler,
             class,
             label,
+            due: SimTime::ZERO,
+            unindexed: true,
         });
     }
 
@@ -419,8 +461,7 @@ impl Fleet {
         );
         let mut routed = vec![0u64; self.members.len()];
         let mut routing = RoutingStats::default();
-        let mut signals: Vec<InstanceSignals> = Vec::with_capacity(self.members.len());
-        let mut blocks_by_size: Vec<(u32, Vec<Block>)> = Vec::new();
+        let mut probe = Probe::new(self.members.len());
 
         // Fault-tolerance tier. Armed ONLY when some member schedules a
         // fail-stop: on a crash-free plan the engine, replicator and
@@ -529,13 +570,8 @@ impl Fleet {
                     eng.advance_patrol(t);
                     self.drain_ejected(eng, &states, t);
                     for victim in eng.take_due(t) {
-                        self.collect_signals(
-                            &victim.spec,
-                            &mut signals,
-                            &mut blocks_by_size,
-                            &states,
-                        );
-                        match pick_migration_target(&signals) {
+                        probe.collect(&mut self.members, &victim.spec, &states);
+                        match pick_migration_target(&probe.signals) {
                             Some(target) => {
                                 // Re-admissions draw on the shared retry
                                 // budget when one exists; a dry bucket
@@ -551,10 +587,10 @@ impl Fleet {
                                     }
                                     overload.budget_spent_failover += 1;
                                 }
-                                let hit = signals[target].prefix_hit_tokens;
+                                let hit = probe.signals[target].prefix_hit_tokens;
                                 let mut spec = victim.spec.clone();
                                 spec.arrival = t;
-                                let local = self.members[target].instance.admit(spec);
+                                let local = self.members[target].admit(spec);
                                 routed[target] += 1;
                                 eng.placed(&victim, target, local, hit, t);
                             }
@@ -578,21 +614,22 @@ impl Fleet {
             let mut sweep_due = false;
             while i < trace.len() && trace[i].arrival == t {
                 let spec = &trace[i];
-                self.collect_signals(spec, &mut signals, &mut blocks_by_size, &states);
+                probe.collect(&mut self.members, spec, &states);
+                let signals = &probe.signals;
                 // Ingress watermark: when every routable member is over
                 // the line, queueing one more first copy only deepens
                 // the overload — shed it here, before it costs anyone
                 // KV or a queue slot.
                 if let Some(h) = hedger.as_ref() {
-                    if h.ingress_overloaded(&signals) {
+                    if h.ingress_overloaded(signals) {
                         overload.ingress_shed += 1;
                         i += 1;
                         continue;
                     }
                 }
-                let decision = policy.pick(spec, &signals);
+                let decision = policy.pick(spec, signals);
                 let m = &mut self.members[decision.instance];
-                let primary_local = m.instance.admit(spec.clone());
+                let primary_local = m.admit(spec.clone());
                 routed[decision.instance] += 1;
                 routing.requests += 1;
                 routing.prefix_hit_tokens += signals[decision.instance].prefix_hit_tokens;
@@ -603,7 +640,7 @@ impl Fleet {
                     PathClass::Split => routing.split_routed += 1,
                 }
                 if let Some(rep) = replicator.as_mut() {
-                    sweep_due |= rep.record(spec, &blocks_by_size, decision.instance);
+                    sweep_due |= rep.record(spec, &mut probe.blocks_by_size, decision.instance);
                 }
                 // Hedged dispatch: a degraded or slow-estimating primary
                 // gets a speculative duplicate on the runner-up, budget
@@ -620,12 +657,12 @@ impl Fleet {
                         if bud.available() < h.config().min_budget_for_hedge {
                             h.stats.suppressed_budget += 1;
                         } else {
-                            match h.pick_runner_up(&signals, decision.instance) {
+                            match h.pick_runner_up(signals, decision.instance) {
                                 Some(ru) => {
                                     let spent = bud.try_spend();
                                     debug_assert!(spent, "reserve check guarantees a token");
                                     overload.budget_spent_hedge += 1;
-                                    let hedge_local = self.members[ru].instance.admit(spec.clone());
+                                    let hedge_local = self.members[ru].admit(spec.clone());
                                     routed[ru] += 1;
                                     h.launched(
                                         HedgePair {
@@ -644,7 +681,7 @@ impl Fleet {
             }
             if sweep_due {
                 if let Some(rep) = replicator.as_mut() {
-                    self.replicate_sweep(rep, &states, t);
+                    self.replicate_sweep(rep, &mut probe, &states, t);
                 }
             }
             while b < extra_barriers.len() && extra_barriers[b] <= t {
@@ -728,9 +765,11 @@ impl Fleet {
             if state.admits_traffic() || !escape_exists(&self.members, idx) {
                 continue;
             }
-            let permanent = self.members[idx].instance.permanently_crashed();
-            let victims = self.members[idx].instance.drain_crash_victims(permanent);
+            let member = &mut self.members[idx];
+            let permanent = member.instance.permanently_crashed();
+            let victims = member.instance.drain_crash_victims(permanent);
             if !victims.is_empty() {
+                member.due = SimTime::ZERO;
                 eng.enqueue_drained(victims, now);
             }
         }
@@ -747,15 +786,26 @@ impl Fleet {
     /// survive the fault that kills the original. Transfer cost is
     /// modeled as a background copy off the serving critical path (see
     /// DESIGN.md §14).
-    fn replicate_sweep(&mut self, rep: &mut Replicator, states: &[HealthState], now: SimTime) {
+    ///
+    /// Only members the holder index lists under an export's first
+    /// block can already hold the prefix, so only they are probed.
+    fn replicate_sweep(
+        &mut self,
+        rep: &mut Replicator,
+        probe: &mut Probe,
+        states: &[HealthState],
+        now: SimTime,
+    ) {
         let factor = rep.config().factor;
         if factor <= 1 {
             return;
         }
-        let hot: Vec<HotPrefix> = rep.hottest().into_iter().map(|(_, h)| h.clone()).collect();
-        for h in hot {
+        probe.refresh(&mut self.members);
+        let (mut pushes, mut tokens_pushed) = (0u64, 0u64);
+        let mut exports: Vec<(u32, &[Block])> = Vec::new();
+        for (_, h) in rep.hottest() {
             // Clip each recorded stream to what the origin still holds.
-            let mut exports: Vec<(u32, Vec<Block>)> = Vec::new();
+            exports.clear();
             for table in self.members[h.origin].scheduler.lease_tables() {
                 let bs = table.block_size();
                 let Some((_, blocks)) = h.blocks_by_size.iter().find(|(s, _)| *s == bs) else {
@@ -763,7 +813,7 @@ impl Fleet {
                 };
                 let clipped = table.export_prefix(blocks);
                 if !clipped.is_empty() && !exports.iter().any(|(s, _)| *s == bs) {
-                    exports.push((bs, clipped.to_vec()));
+                    exports.push((bs, clipped));
                 }
             }
             let export_tokens = exports
@@ -782,7 +832,12 @@ impl Fleet {
                         .is_some_and(|(_, blocks)| table.peek_prefix(blocks) >= export_tokens)
                 })
             };
-            let mut holders = self.members.iter().filter(|m| holds(m)).count();
+            let candidates = &mut probe.candidates;
+            probe
+                .index
+                .candidates(exports.iter().map(|&(_, blocks)| blocks), candidates);
+            candidates.retain(|&c| holds(&self.members[c]));
+            let mut holders = candidates.len();
             let n = self.members.len();
             let antipode = (h.origin + n / 2) % n;
             for step in 0..n {
@@ -793,24 +848,30 @@ impl Fleet {
                 if !states[j].admits_traffic() || self.members[j].instance.dead_gpus() > 0 {
                     continue;
                 }
-                if holds(&self.members[j]) {
+                if candidates.contains(&j) {
                     continue;
                 }
+                let member = &mut self.members[j];
+                let mut tables = member.scheduler.lease_tables_mut();
                 let mut pushed = false;
-                for table in self.members[j].scheduler.lease_tables_mut() {
+                for table in tables.iter_mut() {
                     if let Some((_, blocks)) =
                         exports.iter().find(|(s, _)| *s == table.block_size())
                     {
                         pushed |= table.insert(blocks, now);
                     }
                 }
+                probe.index.absorb(j, tables.iter().map(|t| &**t));
+                member.due = SimTime::ZERO;
                 if pushed {
                     holders += 1;
-                    rep.stats.replicas_pushed += 1;
-                    rep.stats.tokens_pushed += export_tokens;
+                    pushes += 1;
+                    tokens_pushed += export_tokens;
                 }
             }
         }
+        rep.stats.replicas_pushed += pushes;
+        rep.stats.tokens_pushed += tokens_pushed;
     }
 
     /// Settles hedge races against the instances as stepped to the
@@ -830,6 +891,8 @@ impl Fleet {
             .collect();
         hedger.resolve(now, &status, |m, id| {
             let member = &mut members[m];
+            member.due = SimTime::ZERO;
+            member.unindexed = true;
             match member.instance.cancel(member.scheduler.as_mut(), id) {
                 CancelOutcome::Dropped => Some(true),
                 CancelOutcome::Detached => Some(false),
@@ -838,10 +901,11 @@ impl Fleet {
         });
     }
 
-    /// Advances every instance to the merge barrier at `t`, optionally
-    /// in parallel. Chunks are contiguous index ranges, so work-stealing
-    /// nondeterminism never arises; each instance touches only its own
-    /// state, so results are independent of the chunking.
+    /// Advances every instance with an event before `t` to the merge
+    /// barrier at `t`, optionally in parallel. Chunks are contiguous
+    /// index ranges, so work-stealing nondeterminism never arises; each
+    /// instance touches only its own state, so results are independent
+    /// of the chunking.
     fn step_all(&mut self, t: SimTime) {
         let workers = self.threads.min(self.members.len());
         if workers <= 1 {
@@ -855,54 +919,118 @@ impl Fleet {
             }
         });
     }
+}
+
+/// Reused buffers for reading the router signals of one request, plus
+/// the holder index that narrows its prefix probes.
+struct Probe {
+    index: HolderIndex,
+    /// Per-member signals of the last request probed, index order.
+    signals: Vec<InstanceSignals>,
+    /// The last request's block streams, one per pool block size in the
+    /// fleet, computed once and shared by every member's probe.
+    blocks_by_size: Vec<(u32, Vec<Block>)>,
+    /// Holder-index candidates (scratch).
+    candidates: Vec<usize>,
+}
+
+impl Probe {
+    fn new(members: usize) -> Probe {
+        Probe {
+            index: HolderIndex::new(members),
+            signals: Vec::with_capacity(members),
+            blocks_by_size: Vec::new(),
+            candidates: Vec::new(),
+        }
+    }
+
+    /// Reads the new first blocks of every member whose scheduler ran
+    /// since its tables were last read.
+    fn refresh(&mut self, members: &mut [FleetMember]) {
+        for (idx, m) in members.iter_mut().enumerate() {
+            if m.unindexed {
+                self.index.absorb(idx, m.scheduler.lease_tables());
+                m.unindexed = false;
+            }
+        }
+    }
 
     /// Reads the router signals for one request from every instance,
-    /// index order. Prefix probes use [`serving::LeaseTable::peek_prefix`]
-    /// (non-mutating, no hit-statistics recorded); the request's block
-    /// split is computed once per distinct pool block size and reused
-    /// across instances.
-    fn collect_signals(
-        &self,
-        spec: &RequestSpec,
-        signals: &mut Vec<InstanceSignals>,
-        blocks_by_size: &mut Vec<(u32, Vec<Block>)>,
-        states: &[HealthState],
-    ) {
-        signals.clear();
-        blocks_by_size.clear();
+    /// index order, into `self.signals`. Prefix probes use
+    /// [`serving::LeaseTable::peek_prefix`] (non-mutating, no hit
+    /// statistics recorded) and touch only the members the holder index
+    /// lists under one of the request's first blocks; every other
+    /// member's probe would return 0, which is what it gets.
+    // simlint: barrier
+    // simlint: hot
+    fn collect(&mut self, members: &mut [FleetMember], spec: &RequestSpec, states: &[HealthState]) {
+        self.refresh(members);
+        self.signals.clear();
+        self.blocks_by_size.clear();
+        for &bs in self.index.sizes() {
+            self.blocks_by_size.push((bs, spec.content.blocks(bs)));
+        }
         let input_tokens = spec.input_tokens();
-        for (idx, m) in self.members.iter().enumerate() {
-            let mut hit = 0u64;
-            for table in m.scheduler.lease_tables() {
-                let bs = table.block_size();
-                let blocks = match blocks_by_size.iter().position(|&(s, _)| s == bs) {
-                    Some(k) => &blocks_by_size[k].1,
-                    None => {
-                        blocks_by_size.push((bs, spec.content.blocks(bs)));
-                        &blocks_by_size[blocks_by_size.len() - 1].1
-                    }
-                };
-                hit = hit.max(table.peek_prefix(blocks));
-            }
-            signals.push(InstanceSignals {
+        for (idx, m) in members.iter().enumerate() {
+            self.signals.push(InstanceSignals {
                 queue_depth: m.instance.in_flight(),
-                prefix_hit_tokens: hit.min(input_tokens),
+                prefix_hit_tokens: 0,
                 input_tokens,
                 healthy: m.instance.dead_gpus() == 0,
                 health: states[idx],
                 class: m.class,
             });
         }
+        let streams = self
+            .blocks_by_size
+            .iter()
+            .map(|(_, blocks)| blocks.as_slice());
+        self.index.candidates(streams, &mut self.candidates);
+        for &idx in &self.candidates {
+            let mut hit = 0u64;
+            for table in members[idx].scheduler.lease_tables() {
+                let bs = table.block_size();
+                if let Some((_, blocks)) = self.blocks_by_size.iter().find(|(s, _)| *s == bs) {
+                    hit = hit.max(table.peek_prefix(blocks));
+                }
+            }
+            self.signals[idx].prefix_hit_tokens = hit.min(input_tokens);
+        }
+        #[cfg(debug_assertions)]
+        self.check_candidates(members);
+    }
+
+    /// Debug builds check the index against a full probe: a member the
+    /// index does not list must hold none of the request's prefix.
+    #[cfg(debug_assertions)]
+    fn check_candidates(&self, members: &[FleetMember]) {
+        for (idx, m) in members.iter().enumerate() {
+            if self.candidates.contains(&idx) {
+                continue;
+            }
+            for table in m.scheduler.lease_tables() {
+                let bs = table.block_size();
+                let hit = self
+                    .blocks_by_size
+                    .iter()
+                    .find(|(s, _)| *s == bs)
+                    .map_or(0, |(_, blocks)| table.peek_prefix(blocks));
+                assert_eq!(
+                    hit, 0,
+                    "member {idx} holds a prefix the holder index misses"
+                );
+            }
+        }
     }
 }
 
-/// The merge-barrier stepping loop: every instance advances to `t`.
-/// Instances are independent between barriers, so slices of this loop
-/// run on worker threads with bit-identical results.
+/// The merge-barrier stepping loop: every instance with an event before
+/// `t` advances to `t`. Instances are independent between barriers, so
+/// slices of this loop run on worker threads with bit-identical results.
 // simlint: hot
 fn step_members(members: &mut [FleetMember], t: SimTime) {
     for m in members.iter_mut() {
-        m.instance.step_until(m.scheduler.as_mut(), t);
+        m.step_if_due(t);
     }
 }
 

@@ -108,11 +108,13 @@ impl Replicator {
 
     /// Records one routed request: bumps its session's heat and keeps
     /// the latest (longest) context streams as the replication payload.
-    /// Returns `true` when a sweep is due.
+    /// The streams are moved, not copied: when they become the payload,
+    /// `blocks_by_size` gets the session's previous payload back, so each
+    /// session holds one copy. Returns `true` when a sweep is due.
     pub fn record(
         &mut self,
         spec: &RequestSpec,
-        blocks_by_size: &[(u32, Vec<Block>)],
+        blocks_by_size: &mut Vec<(u32, Vec<Block>)>,
         origin: usize,
     ) -> bool {
         let entry = self.hot.entry(spec.session).or_insert(HotPrefix {
@@ -127,7 +129,7 @@ impl Replicator {
         }
         if spec.input_tokens() >= entry.input_tokens {
             entry.origin = origin;
-            entry.blocks_by_size = blocks_by_size.to_vec();
+            std::mem::swap(&mut entry.blocks_by_size, blocks_by_size);
             entry.input_tokens = spec.input_tokens();
         }
         self.since_sweep += 1;
@@ -179,11 +181,14 @@ mod tests {
             factor: 2,
         };
         let mut r = Replicator::new(cfg);
-        let streams = vec![(64u32, Block::sequence(1, 128, 64))];
-        assert!(!r.record(&spec(9, 100), &streams, 0));
-        assert!(!r.record(&spec(9, 200), &streams, 1));
-        assert!(!r.record(&spec(4, 100), &streams, 0));
-        assert!(r.record(&spec(4, 100), &streams, 0), "4th request sweeps");
+        let streams = || vec![(64u32, Block::sequence(1, 128, 64))];
+        assert!(!r.record(&spec(9, 100), &mut streams(), 0));
+        assert!(!r.record(&spec(9, 200), &mut streams(), 1));
+        assert!(!r.record(&spec(4, 100), &mut streams(), 0));
+        assert!(
+            r.record(&spec(4, 100), &mut streams(), 0),
+            "4th request sweeps"
+        );
         let hot = r.hottest();
         assert_eq!(hot.len(), 2);
         // Equal hits: lower session id first.
@@ -197,7 +202,7 @@ mod tests {
     #[test]
     fn cold_sessions_never_qualify() {
         let mut r = Replicator::new(ReplicationConfig::default());
-        r.record(&spec(1, 100), &[], 0);
+        r.record(&spec(1, 100), &mut Vec::new(), 0);
         assert!(r.hottest().is_empty());
         assert_eq!(r.stats.hot_prefixes, 0);
     }

@@ -652,6 +652,21 @@ impl GpuSim {
                 }
             }
         }
+        self.step_to_scanned_event(next, limit)
+    }
+
+    /// The second half of [`GpuSim::step_to_next_event`]: advances to
+    /// and processes `next`, the value [`GpuSim::next_event_time`] just
+    /// returned, without scanning again. A driver that has already asked
+    /// for the next event time (to compare it with a bound) uses this
+    /// for its first step. Nothing may change the simulator between the
+    /// two calls; a stale `next` would skip an earlier event.
+    // simlint: hot
+    pub fn step_to_scanned_event(
+        &mut self,
+        next: Option<SimTime>,
+        limit: SimTime,
+    ) -> Option<SimTime> {
         let t = next?.max(self.now);
         if t > limit {
             return None;

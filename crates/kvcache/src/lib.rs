@@ -37,6 +37,8 @@
 //! assert_eq!(m.matched_tokens, 1000);
 //! ```
 
+#[cfg(test)]
+mod model_tests;
 pub mod pool;
 pub mod radix;
 pub mod tiered;

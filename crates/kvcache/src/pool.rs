@@ -43,7 +43,7 @@ impl PoolStats {
 /// and LRU eviction. See the [crate docs](crate) for the model.
 #[derive(Debug)]
 pub struct KvPool {
-    tree: RadixTree,
+    pub(crate) tree: RadixTree,
     capacity_tokens: u64,
     shared_tokens: u64,
     private_tokens: u64,
@@ -117,7 +117,7 @@ impl KvPool {
     /// statistics (used by schedulers to estimate the reused length before
     /// committing to a plan).
     pub fn peek_prefix(&self, blocks: &[Block]) -> u64 {
-        self.tree.walk(blocks).1
+        self.tree.matched(blocks).1
     }
 
     /// Number of leading blocks of `blocks` currently cached — the
@@ -125,7 +125,18 @@ impl KvPool {
     /// the stream another pool can import with [`KvPool::insert`]
     /// without fabricating KV state the origin never computed.
     pub fn cached_prefix_blocks(&self, blocks: &[Block]) -> usize {
-        self.tree.prefix_block_len(blocks)
+        self.tree.matched(blocks).0
+    }
+
+    /// Keys of every block ever inserted directly under the radix root,
+    /// in insertion order. Append-only: eviction removes no key, and a
+    /// first block inserted again is logged again. A reader that keeps
+    /// its position in the log learns every first block the pool has
+    /// held since it last read, so it can keep an index of which pools
+    /// may match a request at all ([`KvPool::peek_prefix`] is 0 unless
+    /// the request's first block is in this log).
+    pub fn root_keys(&self) -> &[u64] {
+        self.tree.root_keys()
     }
 
     /// Locks the longest cached prefix **without** recording hit
@@ -154,10 +165,10 @@ impl KvPool {
         loop {
             // Count the missing suffix. Eviction below may remove part of
             // an already-cached prefix, so this is recomputed each pass.
-            let (_, matched) = self.tree.walk(blocks);
+            let (_, matched) = self.tree.matched(blocks);
             let would_add = total - matched;
             if self.free_tokens() >= would_add {
-                let (_, added) = self.tree.insert_path(blocks, now);
+                let added = self.tree.insert_path(blocks, now);
                 debug_assert_eq!(added, would_add);
                 self.shared_tokens += added;
                 return true;

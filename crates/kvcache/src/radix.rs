@@ -1,8 +1,11 @@
 //! The radix tree over content blocks.
 //!
-//! Each node corresponds to one block of cached tokens. Children are
-//! keyed by block hash in a `BTreeMap` so traversal order — and therefore
-//! eviction order among ties — is deterministic.
+//! Each node corresponds to one block of cached tokens. Almost every
+//! node is one link of a single-session chain, so a node stores its
+//! single child inline and keeps a `BTreeMap` from block hash to child
+//! only once it branches. Eviction order does not depend on how children
+//! are stored: it comes from the evictable index, keyed by
+//! `(protected, last_access, NodeId)`, so ties break on the node id.
 
 use std::collections::BTreeMap;
 
@@ -84,12 +87,70 @@ fn mix(stream: u64, index: u64, fill: u32) -> u64 {
 /// Index of a node in the tree's slab.
 pub(crate) type NodeId = usize;
 
+/// A node's children with the semantics of a map from block hash to
+/// node: [`Children::insert`] replaces the entry under an existing key.
+/// One child is stored inline; a map is allocated only for nodes that
+/// branch, and collapses back to the inline form when one child is left.
+#[derive(Debug, Default)]
+pub(crate) enum Children {
+    #[default]
+    Empty,
+    One(u64, NodeId),
+    Many(BTreeMap<u64, NodeId>),
+}
+
+impl Children {
+    fn get(&self, key: u64) -> Option<NodeId> {
+        match self {
+            Children::Empty => None,
+            Children::One(k, id) => (*k == key).then_some(*id),
+            Children::Many(map) => map.get(&key).copied(),
+        }
+    }
+
+    fn insert(&mut self, key: u64, id: NodeId) {
+        match self {
+            Children::Empty => *self = Children::One(key, id),
+            Children::One(k, old) if *k == key => *old = id,
+            Children::One(k, old) => {
+                *self = Children::Many(BTreeMap::from([(*k, *old), (key, id)]));
+            }
+            Children::Many(map) => {
+                map.insert(key, id);
+            }
+        }
+    }
+
+    fn remove(&mut self, key: u64) {
+        match self {
+            Children::Empty => {}
+            Children::One(k, _) => {
+                if *k == key {
+                    *self = Children::Empty;
+                }
+            }
+            Children::Many(map) => {
+                map.remove(&key);
+                if map.len() == 1 {
+                    if let Some((&k, &id)) = map.iter().next() {
+                        *self = Children::One(k, id);
+                    }
+                }
+            }
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, Children::Empty)
+    }
+}
+
 #[derive(Debug)]
 pub(crate) struct Node {
     pub key: u64,
     pub tokens: u32,
     pub parent: NodeId,
-    pub children: BTreeMap<u64, NodeId>,
+    pub children: Children,
     pub refs: u32,
     pub last_access: SimTime,
     pub alive: bool,
@@ -115,6 +176,9 @@ pub(crate) struct RadixTree {
     nodes: Vec<Node>,
     free: Vec<NodeId>,
     evictable: std::collections::BTreeSet<(bool, SimTime, NodeId)>,
+    /// Key of every node ever created directly under the root, in
+    /// creation order (append-only; see [`RadixTree::root_keys`]).
+    root_log: Vec<u64>,
 }
 
 pub(crate) const ROOT: NodeId = 0;
@@ -126,7 +190,7 @@ impl RadixTree {
                 key: 0,
                 tokens: 0,
                 parent: ROOT,
-                children: BTreeMap::new(),
+                children: Children::Empty,
                 refs: 1, // the root is never evictable
                 last_access: SimTime::ZERO,
                 alive: true,
@@ -135,6 +199,7 @@ impl RadixTree {
             }],
             free: Vec::new(),
             evictable: std::collections::BTreeSet::new(),
+            root_log: Vec::new(),
         }
     }
 
@@ -204,50 +269,73 @@ impl RadixTree {
         self.reindex(id);
     }
 
+    /// The child of `id` that continues `block`, if cached: same key
+    /// and same token count.
+    fn child_matching(&self, id: NodeId, block: &Block) -> Option<NodeId> {
+        self.nodes[id]
+            .children
+            .get(block.key)
+            .filter(|&child| self.nodes[child].tokens == block.tokens)
+    }
+
+    /// Length of the longest existing path matching `blocks`, as
+    /// `(blocks, tokens)`. Builds no path and does not touch access
+    /// times, so a probe costs only the chain it matches.
+    // simlint: hot
+    pub fn matched(&self, blocks: &[Block]) -> (usize, u64) {
+        let mut cur = ROOT;
+        let mut tokens = 0u64;
+        for (depth, b) in blocks.iter().enumerate() {
+            match self.child_matching(cur, b) {
+                Some(child) => {
+                    tokens += b.tokens as u64;
+                    cur = child;
+                }
+                None => return (depth, tokens),
+            }
+        }
+        (blocks.len(), tokens)
+    }
+
     /// Walks the longest existing path matching `blocks`; returns
-    /// `(path, matched_tokens)`. Does not touch access times.
+    /// `(path, matched_tokens)`. Does not touch access times. Use
+    /// [`RadixTree::matched`] when only the length is needed.
     pub fn walk(&self, blocks: &[Block]) -> (Vec<NodeId>, u64) {
         let mut cur = ROOT;
         let mut path = Vec::new();
         let mut tokens = 0u64;
         for b in blocks {
-            match self.nodes[cur].children.get(&b.key) {
-                Some(&child) if self.nodes[child].tokens == b.tokens => {
+            match self.child_matching(cur, b) {
+                Some(child) => {
                     path.push(child);
                     tokens += b.tokens as u64;
                     cur = child;
                 }
-                _ => break,
+                None => break,
             }
         }
         (path, tokens)
     }
 
-    /// Length in blocks of the longest existing path matching `blocks` —
-    /// the block-granular sibling of [`RadixTree::walk`]'s token count.
-    /// Replica export uses it to clip a recorded block stream to what
-    /// this tree actually holds; the clipped stream imports into another
-    /// tree via [`RadixTree::insert_path`].
-    pub fn prefix_block_len(&self, blocks: &[Block]) -> usize {
-        self.walk(blocks).0.len()
-    }
-
-    /// Inserts missing nodes along `blocks`, returning the full path and
-    /// the number of **new** tokens added.
-    pub fn insert_path(&mut self, blocks: &[Block], now: SimTime) -> (Vec<NodeId>, u64) {
+    /// Inserts missing nodes along `blocks`, refreshing the access time
+    /// of every node on the path, and returns the number of **new**
+    /// tokens added. Each path node's evictable-index entry is updated
+    /// once, after its child on the path is linked: a node that gains a
+    /// child is no longer a leaf, so a new chain enters the index only
+    /// at its tail.
+    // simlint: hot
+    pub fn insert_path(&mut self, blocks: &[Block], now: SimTime) -> u64 {
         let mut cur = ROOT;
-        let mut path = Vec::with_capacity(blocks.len());
         let mut new_tokens = 0u64;
         for b in blocks {
-            let existing = self.nodes[cur].children.get(&b.key).copied();
-            let next = match existing {
-                Some(child) if self.nodes[child].tokens == b.tokens => child,
-                _ => {
+            let next = match self.child_matching(cur, b) {
+                Some(child) => child,
+                None => {
                     let id = self.alloc(Node {
                         key: b.key,
                         tokens: b.tokens,
                         parent: cur,
-                        children: BTreeMap::new(),
+                        children: Children::Empty,
                         refs: 0,
                         last_access: now,
                         alive: true,
@@ -255,18 +343,29 @@ impl RadixTree {
                         index_key: None,
                     });
                     self.nodes[cur].children.insert(b.key, id);
-                    // `cur` just gained a child: it is no longer a leaf.
-                    self.reindex(cur);
+                    if cur == ROOT {
+                        self.root_log.push(b.key);
+                    }
                     new_tokens += b.tokens as u64;
                     id
                 }
             };
+            // `cur` now has its final access time and child.
+            self.reindex(cur);
             self.nodes[next].last_access = now;
-            self.reindex(next);
-            path.push(next);
             cur = next;
         }
-        (path, new_tokens)
+        self.reindex(cur);
+        new_tokens
+    }
+
+    /// Keys of every block ever inserted directly under the root, in
+    /// insertion order. The log is append-only: evicting a first block
+    /// leaves its key in place, and re-inserting it appends the key
+    /// again. A reader that remembers how much it has read sees every
+    /// first block the tree has held since.
+    pub fn root_keys(&self) -> &[u64] {
+        &self.root_log
     }
 
     fn alloc(&mut self, node: Node) -> NodeId {
@@ -294,7 +393,7 @@ impl RadixTree {
         if let Some((p, t)) = self.nodes[id].index_key.take() {
             self.evictable.remove(&(p, t, id));
         }
-        self.nodes[parent].children.remove(&key);
+        self.nodes[parent].children.remove(key);
         self.nodes[id].alive = false;
         self.nodes[id].protected = false;
         self.free.push(id);
@@ -339,6 +438,12 @@ impl RadixTree {
 mod tests {
     use super::*;
 
+    /// Inserts `blocks` and returns the full path to them.
+    fn insert(t: &mut RadixTree, blocks: &[Block], now: SimTime) -> Vec<NodeId> {
+        t.insert_path(blocks, now);
+        t.walk(blocks).0
+    }
+
     #[test]
     fn sequence_prefix_property() {
         let a = Block::sequence(9, 640, 64);
@@ -358,14 +463,14 @@ mod tests {
     fn walk_and_insert_roundtrip() {
         let mut t = RadixTree::new();
         let blocks = Block::sequence(3, 300, 64);
-        let (path, added) = t.insert_path(&blocks, SimTime::ZERO);
+        let added = t.insert_path(&blocks, SimTime::ZERO);
         assert_eq!(added, 300);
-        assert_eq!(path.len(), 5);
         let (walked, tokens) = t.walk(&blocks);
-        assert_eq!(walked, path);
+        assert_eq!(walked.len(), 5);
         assert_eq!(tokens, 300);
+        assert_eq!(t.matched(&blocks), (5, 300));
         // Re-insert adds nothing.
-        let (_, added2) = t.insert_path(&blocks, SimTime::ZERO);
+        let added2 = t.insert_path(&blocks, SimTime::ZERO);
         assert_eq!(added2, 0);
         assert_eq!(t.total_tokens(), 300);
     }
@@ -377,11 +482,11 @@ mod tests {
         // A recorded stream longer than what the origin holds: export
         // must clip to the cached prefix, not the full recording.
         let recorded = Block::sequence(9, 512, 64);
-        let n = origin.prefix_block_len(&recorded);
+        let (n, _) = origin.matched(&recorded);
         assert_eq!(n, 4);
         // Importing the clipped stream mirrors exactly the origin state.
         let mut replica = RadixTree::new();
-        let (_, added) = replica.insert_path(&recorded[..n], SimTime::ZERO);
+        let added = replica.insert_path(&recorded[..n], SimTime::ZERO);
         assert_eq!(added, 256);
         assert_eq!(replica.walk(&recorded).1, origin.walk(&recorded).1);
     }
@@ -394,13 +499,14 @@ mod tests {
         let (path, tokens) = t.walk(&longer);
         assert_eq!(tokens, 128);
         assert_eq!(path.len(), 2);
+        assert_eq!(t.matched(&longer), (2, 128));
     }
 
     #[test]
     fn remove_leaf_frees_tokens() {
         let mut t = RadixTree::new();
         let blocks = Block::sequence(3, 128, 64);
-        let (path, _) = t.insert_path(&blocks, SimTime::ZERO);
+        let path = insert(&mut t, &blocks, SimTime::ZERO);
         let leaf = *path.last().unwrap();
         assert_eq!(t.evictable_leaves(), vec![leaf]);
         assert_eq!(t.remove_leaf(leaf), 64);
@@ -414,8 +520,8 @@ mod tests {
         let mut t = RadixTree::new();
         // Two independent single-block chains: `a` is older (would be
         // the LRU victim), `b` newer.
-        let (pa, _) = t.insert_path(&Block::sequence(1, 64, 64), SimTime::ZERO);
-        let (pb, _) = t.insert_path(&Block::sequence(2, 64, 64), SimTime::from_secs(1.0));
+        let pa = insert(&mut t, &Block::sequence(1, 64, 64), SimTime::ZERO);
+        let pb = insert(&mut t, &Block::sequence(2, 64, 64), SimTime::from_secs(1.0));
         t.set_protected(pa[0], true);
         // With an unprotected alternative, protection redirects eviction.
         assert_eq!(t.lru_evictable(), Some(pb[0]));
@@ -432,10 +538,43 @@ mod tests {
     #[test]
     fn slab_reuses_freed_slots() {
         let mut t = RadixTree::new();
-        let (p, _) = t.insert_path(&Block::sequence(1, 64, 64), SimTime::ZERO);
+        let p = insert(&mut t, &Block::sequence(1, 64, 64), SimTime::ZERO);
         t.remove_leaf(p[0]);
         let before = t.len();
         t.insert_path(&Block::sequence(2, 64, 64), SimTime::ZERO);
         assert_eq!(t.len(), before + 1);
+    }
+
+    #[test]
+    fn children_branch_and_collapse_back_inline() {
+        let mut t = RadixTree::new();
+        let a = Block::sequence(1, 128, 64);
+        let b = Block::sequence(2, 64, 64);
+        let pa = insert(&mut t, &a, SimTime::ZERO);
+        assert!(matches!(t.node(pa[0]).children, Children::One(..)));
+        insert(&mut t, &b, SimTime::ZERO);
+        assert!(matches!(t.nodes[ROOT].children, Children::Many(_)));
+        let leaf_b = t.walk(&b).0[0];
+        t.remove_leaf(leaf_b);
+        assert!(matches!(t.nodes[ROOT].children, Children::One(..)));
+        assert_eq!(t.matched(&a), (2, 128));
+        assert_eq!(t.matched(&b), (0, 0));
+    }
+
+    #[test]
+    fn root_keys_log_every_first_block_ever_inserted() {
+        let mut t = RadixTree::new();
+        let a = Block::sequence(1, 64, 64);
+        let b = Block::sequence(2, 128, 64);
+        let pa = insert(&mut t, &a, SimTime::ZERO);
+        insert(&mut t, &b, SimTime::ZERO);
+        // Extending a cached chain adds no first block.
+        insert(&mut t, &Block::sequence(2, 192, 64), SimTime::ZERO);
+        assert_eq!(t.root_keys(), &[a[0].key, b[0].key]);
+        // Eviction keeps the key; re-insertion logs it again.
+        t.remove_leaf(pa[0]);
+        assert_eq!(t.root_keys().len(), 2);
+        insert(&mut t, &a, SimTime::ZERO);
+        assert_eq!(t.root_keys(), &[a[0].key, b[0].key, a[0].key]);
     }
 }

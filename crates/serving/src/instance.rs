@@ -75,9 +75,14 @@ pub struct Instance {
     watchdog: Option<WatchdogConfig>,
     // Watchdog bookkeeping (allocated even when disabled — the vecs are
     // cheap and keep the loop branch-light).
-    delivered: Vec<bool>,
     shed_attempted: Vec<bool>,
     defer_count: Vec<u32>,
+    /// Delivered requests that may still be in flight, in delivery
+    /// order: [`Instance::in_flight`] counts the unresolved ones, and
+    /// resolved ones are pruned at every [`Instance::step_until`] return
+    /// and before each admission-control check, so the count costs the
+    /// live requests rather than every request ever admitted.
+    live: Vec<ReqId>,
     /// Delivered-but-tokenless requests watched for deadline shedding,
     /// in delivery order (kept in order so shed attempts replay
     /// identically at any thread count).
@@ -157,9 +162,9 @@ impl Instance {
             stalled,
             faults,
             watchdog,
-            delivered: vec![false; n],
             shed_attempted: vec![false; n],
             defer_count: vec![0u32; n],
+            live: Vec::new(),
             watchlist: Vec::new(),
             fault_retries: 0,
             severe_fault: false,
@@ -184,17 +189,20 @@ impl Instance {
         self.ctx.requests.len()
     }
 
-    /// Delivered requests that are neither finished nor shed — the
-    /// router's queue-depth signal.
+    /// Delivered requests that are neither finished, shed nor cancelled
+    /// — the router's queue-depth signal.
     pub fn in_flight(&self) -> usize {
-        (0..self.delivered.len())
-            .filter(|&i| {
-                self.delivered[i]
-                    && !self.ctx.metrics.is_finished(i)
-                    && !self.ctx.metrics.is_shed(i)
-                    && !self.ctx.metrics.is_cancelled(i)
-            })
+        let metrics = &self.ctx.metrics;
+        self.live
+            .iter()
+            .filter(|&&id| !metrics.is_resolved(id))
             .count()
+    }
+
+    /// Drops resolved requests from the live list.
+    fn prune_live(&mut self) {
+        let metrics = &self.ctx.metrics;
+        self.live.retain(|&id| !metrics.is_resolved(id));
     }
 
     /// Number of currently fail-stopped GPUs — the router's health
@@ -262,9 +270,7 @@ impl Instance {
     /// (finished, shed, or cancelled) — the hedge engine's
     /// pair-retirement predicate.
     pub fn request_resolved(&self, id: ReqId) -> bool {
-        self.ctx.metrics.is_finished(id)
-            || self.ctx.metrics.is_shed(id)
-            || self.ctx.metrics.is_cancelled(id)
+        self.ctx.metrics.is_resolved(id)
     }
 
     /// Cancels a request: the losing copy of a hedged pair. If the
@@ -360,7 +366,6 @@ impl Instance {
         self.ctx.queue.push(spec.arrival, Event::Arrival(id));
         self.ctx.metrics.push_request();
         self.ctx.requests.push(spec);
-        self.delivered.push(false);
         self.shed_attempted.push(false);
         self.defer_count.push(0);
         id
@@ -373,8 +378,19 @@ impl Instance {
     /// that path executes the historical `Driver::run` loop unmodified.
     // simlint: hot
     pub fn step_until(&mut self, scheduler: &mut dyn Scheduler, lim: SimTime) -> StepOutcome {
+        let outcome = self.step_events(scheduler, lim);
+        self.prune_live();
+        outcome
+    }
+
+    // simlint: hot
+    fn step_events(&mut self, scheduler: &mut dyn Scheduler, lim: SimTime) -> StepOutcome {
         let bounded = lim != SimTime::MAX;
         loop {
+            // The bound check's simulator scan, reused by the first
+            // simulator step below (nothing changes the simulator in
+            // between).
+            let mut scanned = None;
             if bounded {
                 // Stop at the bound *before* touching the body so a
                 // paused instance never advances past it; `Done` remains
@@ -390,6 +406,7 @@ impl Instance {
                     Some(t) => return StepOutcome::Pending(t),
                     None => return StepOutcome::Idle,
                 }
+                scanned = Some(t_gpu);
             }
             let t_queue = self.ctx.queue.peek_time();
             // While the watchdog cannot observe intermediate instants
@@ -406,7 +423,10 @@ impl Instance {
             }
             let mut stepped = false;
             let mut dispatch = false;
-            while let Some(t) = self.ctx.gpu.step_to_next_event(limit) {
+            while let Some(t) = match scanned.take() {
+                Some(next) => self.ctx.gpu.step_to_scanned_event(next, limit),
+                None => self.ctx.gpu.step_to_next_event(limit),
+            } {
                 stepped = true;
                 self.ctx.now = t;
                 if self.ctx.gpu.has_pending_dispatch() {
@@ -489,13 +509,14 @@ impl Instance {
                             // Admission control: shed outright past the
                             // in-flight cap (the scheduler never sees
                             // the request).
-                            if self.in_flight() >= cfg.queue_depth_cap {
+                            self.prune_live();
+                            if self.live.len() >= cfg.queue_depth_cap {
                                 self.ctx.metrics.mark_shed(id);
                                 continue;
                             }
                             self.watchlist.push(id);
                         }
-                        self.delivered[id] = true;
+                        self.live.push(id);
                         scheduler.on_arrival(id, &mut self.ctx);
                     }
                     Event::Timer(tag) => scheduler.on_timer(tag, &mut self.ctx),

@@ -125,6 +125,14 @@ impl LeaseTable {
         self.pool.peek_prefix(blocks)
     }
 
+    /// Keys of every block ever inserted directly under the pool's
+    /// radix root, in insertion order ([`KvPool::root_keys`]): the fleet
+    /// reads the log's new tail to index which members may hold a
+    /// request's first block.
+    pub fn root_keys(&self) -> &[u64] {
+        self.pool.root_keys()
+    }
+
     /// The cached leading slice of `blocks` — the export half of
     /// hot-prefix KV replication. The returned stream is exactly what
     /// this table holds of the prefix, so importing it into another

@@ -82,6 +82,12 @@ impl MetricsRecorder {
         self.cancelled.get(req).copied().unwrap_or(false)
     }
 
+    /// Whether a request reached a terminal accounting class: finished,
+    /// shed or cancelled.
+    pub(crate) fn is_resolved(&self, req: ReqId) -> bool {
+        self.is_finished(req) || self.is_shed(req) || self.is_cancelled(req)
+    }
+
     /// Enables live tracking of TBT-threshold violations (used by the
     /// driver's recovery-time metric when fault injection is active).
     pub(crate) fn track_tbt_threshold(&mut self, secs: f64) {

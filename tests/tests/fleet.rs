@@ -10,12 +10,18 @@
 
 use baselines::{ChunkedPrefill, LoongServe, SglangPd, TemporalMux, WindServe};
 use estimator::SoloPredictor;
-use fleet::{Fleet, HedgeConfig, HedgeStats, PathClass, PrefixAffinity, RoundRobin};
+use fleet::{
+    Fleet, HedgeConfig, HedgeStats, HolderIndex, PathClass, PrefixAffinity, ReplicationConfig,
+    RoundRobin,
+};
 use gpusim::{ClusterSpec, GpuSim};
+use kvcache::Block;
 use modelspec::{ModelSpec, Parallelism};
 use muxwise::{Estimators, MuxWise, MuxWiseConfig};
 use proptest::prelude::*;
-use serving::{Driver, FaultKind, FaultPlan, Report, Scheduler, SloSpec, WatchdogConfig};
+use serving::{
+    Driver, FaultKind, FaultPlan, LeaseTable, Report, Scheduler, SloSpec, WatchdogConfig,
+};
 use simcore::{SimDuration, SimRng, SimTime};
 use workload::{generate, generate_fleet_stream, RequestSpec, WorkloadKind};
 
@@ -134,6 +140,17 @@ fn one_instance_fleet_is_byte_identical_to_bare_driver_under_crash() {
 /// `plan0` is instance 0's fault plan; an empty plan keeps the fleet's
 /// fault-tolerance tier unarmed (no fail-stop horizon).
 fn mixed_fleet_with(threads: usize, plan0: FaultPlan) -> Fleet {
+    mixed_fleet_plans(threads, |i| {
+        if i == 0 {
+            plan0.clone()
+        } else {
+            FaultPlan::none()
+        }
+    })
+}
+
+/// The mixed-path fleet with a fault plan per member.
+fn mixed_fleet_plans(threads: usize, plan: impl Fn(usize) -> FaultPlan) -> Fleet {
     let cluster = ClusterSpec::dgx_a100();
     let slo = SloSpec::llama8b();
     let mut fleet = Fleet::new().with_threads(threads);
@@ -143,11 +160,9 @@ fn mixed_fleet_with(threads: usize, plan0: FaultPlan) -> Fleet {
         ("windserve", PathClass::Split),
     ];
     for (i, (name, class)) in members.into_iter().enumerate() {
-        let mut driver = Driver::new(GpuSim::from_cluster(&cluster), Vec::new(), slo)
-            .with_watchdog(WatchdogConfig::default());
-        if i == 0 {
-            driver = driver.with_faults(plan0.clone());
-        }
+        let driver = Driver::new(GpuSim::from_cluster(&cluster), Vec::new(), slo)
+            .with_watchdog(WatchdogConfig::default())
+            .with_faults(plan(i));
         fleet.push(driver, build(name), class, format!("{name}#{i}"));
     }
     fleet
@@ -170,6 +185,41 @@ fn perm_plan() -> FaultPlan {
         SimTime::from_secs(2.0),
         SimTime::from_secs(1e9),
     )
+}
+
+/// A 30 s, 8× kernel-latency spike from t=1s: a gray window that
+/// degrades the member without killing a GPU.
+fn spike_plan() -> FaultPlan {
+    FaultPlan::single(
+        FaultKind::KernelLatencySpike {
+            mult: 8.0,
+            duration: SimDuration::from_secs(30.0),
+        },
+        SimTime::from_secs(1.0),
+        SimTime::from_secs(31.0),
+    )
+}
+
+/// The mixed fleet with every fault-tolerance tier armed: member 0
+/// fail-stops permanently at 2 s, member 1 runs the gray spike, and
+/// hot-prefix replication and hedged dispatch are on.
+fn tiered_fleet(threads: usize) -> Fleet {
+    mixed_fleet_plans(threads, |i| match i {
+        0 => perm_plan(),
+        1 => spike_plan(),
+        _ => FaultPlan::none(),
+    })
+    .with_replication(ReplicationConfig {
+        factor: 2,
+        top_k: 4,
+        min_hits: 2,
+        sweep_every: 2,
+    })
+    .with_hedging(HedgeConfig {
+        // Low enough that requests on the slow members get hedged.
+        delay_threshold: SimDuration::from_secs(0.2),
+        ..HedgeConfig::default()
+    })
 }
 
 fn small_trace(seed: u64) -> Vec<RequestSpec> {
@@ -225,19 +275,9 @@ fn permanent_crash_closes_the_books_through_real_engines() {
 /// cancelled class included.
 #[test]
 fn gray_spike_hedging_closes_books_through_real_engines() {
-    let spike = || {
-        FaultPlan::single(
-            FaultKind::KernelLatencySpike {
-                mult: 8.0,
-                duration: SimDuration::from_secs(30.0),
-            },
-            SimTime::from_secs(1.0),
-            SimTime::from_secs(31.0),
-        )
-    };
     let trace = small_trace(0x6EA7);
     let run = |threads| {
-        mixed_fleet_with(threads, spike())
+        mixed_fleet_with(threads, spike_plan())
             .with_hedging(HedgeConfig::default())
             .run(&trace, &mut PrefixAffinity::default())
     };
@@ -258,30 +298,37 @@ fn gray_spike_hedging_closes_books_through_real_engines() {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
+    #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Thread counts and merge-barrier interleavings are pure wall-clock
-    /// knobs: the fleet report must not move by a bit.
+    /// knobs: the fleet report must not move by a bit — on a fault-free
+    /// fleet, and on one with crash, gray spike, replication and hedging
+    /// all armed (`tiered`), where skipped members and holder-index
+    /// probes meet every tier's barrier source.
     #[test]
     fn fleet_reports_are_bit_identical_across_threads_and_interleavings(
         threads in 2usize..6,
         barrier_ms in 200u64..2_000,
         seed in 0u64..1_000,
+        tiered in prop_oneof![Just(false), Just(true)],
     ) {
         let trace = small_trace(seed);
-        let base = mixed_fleet(1, false).run(&trace, &mut PrefixAffinity::default());
-        let threaded = mixed_fleet(threads, false).run(&trace, &mut PrefixAffinity::default());
+        let make = |threads| if tiered { tiered_fleet(threads) } else { mixed_fleet(threads, false) };
+        let base = make(1).run(&trace, &mut PrefixAffinity::default());
+        prop_assert_eq!(
+            base.finished() + base.shed() + base.cancelled(),
+            base.total(),
+            "the fleet books must close"
+        );
+        prop_assert_eq!(base.leaked_leases(), 0);
+        let threaded = make(threads).run(&trace, &mut PrefixAffinity::default());
         prop_assert_eq!(&base, &threaded, "thread count changed the fleet report");
         // Chop the timeline with no-op barriers (some coinciding with
         // arrivals) — instance stepping must be insensitive to how the
         // run is sliced.
         let step = SimDuration::from_secs(barrier_ms as f64 / 1e3);
         let barriers: Vec<SimTime> = (1..=60).map(|k| SimTime::ZERO + step * k as f64).collect();
-        let chopped = mixed_fleet(threads, false).run_opts(
-            &trace,
-            &mut PrefixAffinity::default(),
-            &barriers,
-        );
+        let chopped = make(threads).run_opts(&trace, &mut PrefixAffinity::default(), &barriers);
         prop_assert_eq!(&base, &chopped, "merge-barrier interleaving changed the fleet report");
     }
 
@@ -313,33 +360,138 @@ proptest! {
 
     /// With a mid-run permanent fail-stop the failover tier arms, the
     /// ejected member drains, and victims re-enter elsewhere — yet the
-    /// books must still close (`finished + shed == total`), no lease may
-    /// leak, and the report must stay bit-identical across 1/2/4
-    /// threads and arbitrary merge-barrier interleavings.
+    /// books must still close (`finished + shed + cancelled == total`),
+    /// no lease may leak, and the report must stay bit-identical across
+    /// 1/2/4 threads and arbitrary merge-barrier interleavings, also
+    /// with replication, hedging and a gray member on top (`tiered`).
     #[test]
     fn permanent_crash_failover_is_deterministic_and_leak_free(
         threads in prop_oneof![Just(2usize), Just(4usize)],
         barrier_ms in 150u64..1_500,
         seed in 0u64..1_000,
+        tiered in prop_oneof![Just(false), Just(true)],
     ) {
         let trace = small_trace(seed);
-        let base = mixed_fleet_with(1, perm_plan()).run(&trace, &mut PrefixAffinity::default());
+        let make = |threads| {
+            if tiered {
+                tiered_fleet(threads)
+            } else {
+                mixed_fleet_with(threads, perm_plan())
+            }
+        };
+        let base = make(1).run(&trace, &mut PrefixAffinity::default());
         prop_assert_eq!(
-            base.finished() + base.shed(),
+            base.finished() + base.shed() + base.cancelled(),
             base.total(),
             "a request fell between the crashed member and the fleet: {:?}",
             base.failover
         );
         prop_assert_eq!(base.leaked_leases(), 0, "crash drain leaked KV leases");
-        let threaded = mixed_fleet_with(threads, perm_plan()).run(&trace, &mut PrefixAffinity::default());
+        let threaded = make(threads).run(&trace, &mut PrefixAffinity::default());
         prop_assert_eq!(&base, &threaded, "thread count changed the failover run");
         let step = SimDuration::from_secs(barrier_ms as f64 / 1e3);
         let barriers: Vec<SimTime> = (1..=60).map(|k| SimTime::ZERO + step * k as f64).collect();
-        let chopped = mixed_fleet_with(threads, perm_plan()).run_opts(
-            &trace,
-            &mut PrefixAffinity::default(),
-            &barriers,
-        );
+        let chopped = make(threads).run_opts(&trace, &mut PrefixAffinity::default(), &barriers);
         prop_assert_eq!(&base, &chopped, "barrier interleaving changed the failover run");
+    }
+}
+
+#[derive(Debug, Clone)]
+enum PoolOp {
+    /// A member commits `tokens` of session `session`'s context.
+    Commit {
+        member: usize,
+        session: u64,
+        tokens: u64,
+    },
+    /// The fleet imports `from`'s cached slice of a session into `to`.
+    Replicate {
+        from: usize,
+        to: usize,
+        session: u64,
+    },
+}
+
+fn pool_op() -> impl Strategy<Value = PoolOp> {
+    prop_oneof![
+        (0usize..4, 0u64..12, 1u64..700).prop_map(|(member, session, tokens)| PoolOp::Commit {
+            member,
+            session,
+            tokens,
+        }),
+        (0usize..4, 0usize..4, 0u64..12).prop_map(|(from, to, session)| PoolOp::Replicate {
+            from,
+            to,
+            session,
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The holder index read the way the fleet reads it — a member's
+    /// tables are re-read only after something wrote to them — lists
+    /// every member whose probe of a request is nonzero, after commits,
+    /// replica imports and the evictions small pools force. Odd members
+    /// carry a second table with another block size, as split engines
+    /// do, so a request is looked up under two first blocks.
+    #[test]
+    fn holder_index_lists_every_member_with_a_nonzero_probe(
+        ops in prop::collection::vec(pool_op(), 1..60),
+    ) {
+        let mut members: Vec<Vec<LeaseTable>> = (0..4)
+            .map(|m| {
+                let mut tables = vec![LeaseTable::new(1_024, 64)];
+                if m % 2 == 1 {
+                    tables.push(LeaseTable::new(768, 32));
+                }
+                tables
+            })
+            .collect();
+        let mut index = HolderIndex::new(members.len());
+        for (m, tables) in members.iter().enumerate() {
+            index.absorb(m, tables);
+        }
+        let mut candidates = Vec::new();
+        for (step, op) in ops.into_iter().enumerate() {
+            let now = SimTime::from_nanos(step as u64);
+            let touched = match op {
+                PoolOp::Commit { member, session, tokens } => {
+                    for table in &mut members[member] {
+                        table.insert(&Block::sequence(session, tokens, table.block_size()), now);
+                    }
+                    member
+                }
+                PoolOp::Replicate { from, to, session } => {
+                    for k in 0..members[from].len().min(members[to].len()) {
+                        let bs = members[from][k].block_size();
+                        let recorded = Block::sequence(session, 700, bs);
+                        let export = members[from][k].export_prefix(&recorded).to_vec();
+                        members[to][k].insert(&export, now);
+                    }
+                    to
+                }
+            };
+            index.absorb(touched, &members[touched]);
+            for session in 0..12 {
+                let streams: Vec<Vec<Block>> = [64u32, 32]
+                    .iter()
+                    .map(|&bs| Block::sequence(session, 700, bs))
+                    .collect();
+                index.candidates(streams.iter().map(Vec::as_slice), &mut candidates);
+                for (m, tables) in members.iter().enumerate() {
+                    let hit = tables.iter().map(|t| {
+                        let blocks = streams.iter().find(|b| b[0].tokens == t.block_size());
+                        blocks.map_or(0, |b| t.peek_prefix(b))
+                    }).max().unwrap_or(0);
+                    prop_assert!(
+                        hit == 0 || candidates.contains(&m),
+                        "member {} holds {} tokens of session {} but is no candidate",
+                        m, hit, session
+                    );
+                }
+            }
+        }
     }
 }

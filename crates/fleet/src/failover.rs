@@ -14,51 +14,41 @@
 //!
 //! Determinism: drains happen in `(crash_time, id)` order, the queue is
 //! totally ordered by `(due, seq)`, and target picking
-//! ([`pick_migration_target`]) is a strict-`>` argmax over the same
+//! ([`pick_migration_target`]) is an argmax over the same
 //! [`InstanceSignals`] snapshot the router reads — lowest index wins
 //! ties. Nothing here reads wall clocks or unordered maps.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 
 use serving::{MigratableVictim, ReqId};
 use simcore::stats::Summary;
 use simcore::{SimDuration, SimTime};
 
+use crate::health::EJECT_AFTER;
 use crate::router::InstanceSignals;
 
-/// Fleet-level failover knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct FailoverConfig {
-    /// Migration attempts per victim before the fleet gives up (each
-    /// attempt that finds no routable target burns one).
-    pub retry_budget: u32,
-    /// Base re-placement backoff; doubles per failed attempt.
-    pub backoff: SimDuration,
-    /// Give-up bound: a victim that has produced no tokens and whose
-    /// *original* arrival plus this deadline has passed is not worth
-    /// migrating — the client is gone.
-    pub ttft_deadline: SimDuration,
-    /// Cadence of the failover patrol: the deterministic tick at which
-    /// members are observed, ejected members drained, and due
-    /// migrations executed, even between arrivals.
-    pub patrol: SimDuration,
-    /// A migrated victim whose target already holds at least this
-    /// fraction of its context counts as a replica-hit cached resume
-    /// rather than a `ReprefillFull`.
-    pub replica_hit_fraction: f64,
-}
+/// Migration attempts per victim before the fleet gives up (each
+/// attempt that finds no routable target burns one).
+const RETRY_BUDGET: u32 = 3;
 
-impl Default for FailoverConfig {
-    fn default() -> FailoverConfig {
-        FailoverConfig {
-            retry_budget: 3,
-            backoff: SimDuration::from_secs(0.5),
-            ttft_deadline: SimDuration::from_secs(30.0),
-            patrol: SimDuration::from_secs(0.5),
-            replica_hit_fraction: 0.5,
-        }
-    }
-}
+/// Base re-placement backoff (0.5 s); doubles per failed attempt.
+const BACKOFF: SimDuration = SimDuration::from_nanos(500_000_000);
+
+/// Give-up bound (30 s): a victim that has produced no tokens and whose
+/// *original* arrival plus this deadline has passed is not worth
+/// migrating — the client is gone.
+const TTFT_DEADLINE: SimDuration = SimDuration::from_nanos(30_000_000_000);
+
+/// Cadence of the failover patrol (0.5 s): the deterministic tick at
+/// which members are observed, ejected members drained, and due
+/// migrations executed, even between arrivals.
+const PATROL: SimDuration = SimDuration::from_nanos(500_000_000);
+
+/// A migrated victim whose target already holds at least this fraction
+/// of its context counts as a replica-hit cached resume rather than a
+/// `ReprefillFull`.
+const REPLICA_HIT_FRACTION: f64 = 0.5;
 
 /// Fleet-level failover outcomes, folded into the fleet report.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -92,26 +82,21 @@ struct PendingMigration {
     victim: MigratableVictim,
 }
 
-/// Picks a migration target: the routable member holding the most of
-/// the victim's prefix, queue depth breaking ties, lowest index breaking
-/// the rest. Returns `None` when no member is routable.
-pub fn pick_migration_target(signals: &[InstanceSignals]) -> Option<usize> {
-    let mut best: Option<(usize, u64, usize)> = None;
-    for (idx, s) in signals.iter().enumerate() {
-        if !s.routable() {
-            continue;
-        }
-        let better = match best {
-            None => true,
-            Some((_, hit, depth)) => {
-                s.prefix_hit_tokens > hit || (s.prefix_hit_tokens == hit && s.queue_depth < depth)
-            }
-        };
-        if better {
-            best = Some((idx, s.prefix_hit_tokens, s.queue_depth));
-        }
-    }
-    best.map(|(idx, _, _)| idx)
+/// Picks a placement target among the routable members `eligible`
+/// admits: the one holding the most of the request's prefix, queue depth
+/// breaking ties, lowest index breaking the rest. Failover admits every
+/// member; the hedge runner-up (`crate::hedge`) excludes the primary and
+/// loaded members. Returns `None` when no member qualifies.
+pub(crate) fn pick_migration_target(
+    signals: &[InstanceSignals],
+    eligible: impl Fn(usize, &InstanceSignals) -> bool,
+) -> Option<usize> {
+    signals
+        .iter()
+        .enumerate()
+        .filter(|&(idx, s)| s.routable() && eligible(idx, s))
+        .min_by_key(|&(idx, s)| (Reverse(s.prefix_hit_tokens), s.queue_depth, idx))
+        .map(|(idx, _)| idx)
 }
 
 /// The fleet's migration queue plus patrol schedule. Constructed only
@@ -119,8 +104,7 @@ pub fn pick_migration_target(signals: &[InstanceSignals]) -> Option<usize> {
 /// instantiate one, keeping their barrier sequence byte-identical to
 /// the pre-failover tier.
 #[derive(Debug)]
-pub struct FailoverEngine {
-    cfg: FailoverConfig,
+pub(crate) struct FailoverEngine {
     pending: Vec<PendingMigration>,
     next_patrol: SimTime,
     patrol_end: SimTime,
@@ -135,18 +119,25 @@ pub struct FailoverEngine {
     /// `global id → (member index, local id)`. Last placement wins.
     placements: BTreeMap<u64, (usize, ReqId)>,
     /// Aggregate outcomes.
-    pub stats: FailoverStats,
+    pub(crate) stats: FailoverStats,
 }
 
 impl FailoverEngine {
     /// A quiescent engine whose patrol runs from the first tick until
-    /// `patrol_end` (past the last scheduled fail-stop plus the worst
-    /// eject/backoff chain, computed by the fleet).
-    pub fn new(cfg: FailoverConfig, patrol_end: SimTime) -> FailoverEngine {
+    /// long enough past `fail_horizon` (the last scheduled fail-stop) to
+    /// see that crash through the full eject → drain → retry-backoff
+    /// chain.
+    pub(crate) fn new(fail_horizon: SimTime) -> FailoverEngine {
+        let chain = BACKOFF
+            .as_nanos()
+            .saturating_mul(1u64 << (RETRY_BUDGET + 1).min(32));
+        let patrol_end = fail_horizon
+            .saturating_add(EJECT_AFTER)
+            .saturating_add(SimDuration::from_nanos(chain))
+            .saturating_add(PATROL * 4.0);
         FailoverEngine {
-            cfg,
             pending: Vec::new(),
-            next_patrol: SimTime::ZERO + cfg.patrol,
+            next_patrol: SimTime::ZERO + PATROL,
             patrol_end,
             seq: 0,
             attempts: BTreeMap::new(),
@@ -156,15 +147,10 @@ impl FailoverEngine {
         }
     }
 
-    /// The configured knobs.
-    pub fn config(&self) -> &FailoverConfig {
-        &self.cfg
-    }
-
     /// The next instant the fleet must wake this engine: the earliest
     /// due migration or the next patrol tick (while the patrol window is
     /// open). `None` once both are exhausted — the fleet may drain.
-    pub fn next_wake(&self) -> Option<SimTime> {
+    pub(crate) fn next_wake(&self) -> Option<SimTime> {
         let t_mig = self.pending.first().map(|p| p.due);
         let t_patrol = (self.next_patrol <= self.patrol_end).then_some(self.next_patrol);
         match (t_mig, t_patrol) {
@@ -174,16 +160,16 @@ impl FailoverEngine {
     }
 
     /// Advances the patrol schedule past `now`.
-    pub fn advance_patrol(&mut self, now: SimTime) {
+    pub(crate) fn advance_patrol(&mut self, now: SimTime) {
         while self.next_patrol <= now {
-            self.next_patrol += self.cfg.patrol;
+            self.next_patrol += PATROL;
         }
     }
 
     /// Accepts victims drained off a member; each is queued for an
     /// immediate placement attempt at `now` (the drain barrier), in
     /// drain order.
-    pub fn enqueue_drained(&mut self, victims: Vec<MigratableVictim>, now: SimTime) {
+    pub(crate) fn enqueue_drained(&mut self, victims: Vec<MigratableVictim>, now: SimTime) {
         for v in victims {
             self.stats.drained += 1;
             self.original_arrival
@@ -195,7 +181,7 @@ impl FailoverEngine {
 
     /// Pops every migration due at or before `now`, in `(due, seq)`
     /// order.
-    pub fn take_due(&mut self, now: SimTime) -> Vec<MigratableVictim> {
+    pub(crate) fn take_due(&mut self, now: SimTime) -> Vec<MigratableVictim> {
         let n = self.pending.partition_point(|p| p.due <= now);
         self.pending.drain(..n).map(|p| p.victim).collect()
     }
@@ -205,7 +191,7 @@ impl FailoverEngine {
     /// backoff or gives up (budget exhausted, or the victim is
     /// tokenless and past its original TTFT deadline — the books were
     /// already closed at drain time, so giving up is pure accounting).
-    pub fn no_target(&mut self, victim: MigratableVictim, now: SimTime) {
+    pub(crate) fn no_target(&mut self, victim: MigratableVictim, now: SimTime) {
         let attempts = self.attempts.entry(victim.spec.id).or_insert(0);
         *attempts += 1;
         let deadline = self
@@ -213,14 +199,14 @@ impl FailoverEngine {
             .get(&victim.spec.id)
             .copied()
             .unwrap_or(victim.spec.arrival)
-            + self.cfg.ttft_deadline;
+            + TTFT_DEADLINE;
         let deadline_lost = victim.tokens_emitted == 0 && now >= deadline;
-        if deadline_lost || *attempts > self.cfg.retry_budget {
+        if deadline_lost || *attempts > RETRY_BUDGET {
             self.stats.gave_up += 1;
             return;
         }
         let shift = attempts.saturating_sub(1).min(16);
-        let delay = self.cfg.backoff.as_nanos().saturating_mul(1u64 << shift);
+        let delay = BACKOFF.as_nanos().saturating_mul(1u64 << shift);
         let due = now.saturating_add(SimDuration::from_nanos(delay));
         self.push_pending(due, victim);
     }
@@ -228,8 +214,8 @@ impl FailoverEngine {
     /// Records a successful re-admission of `global_id` on `target` as
     /// local id `local`, classified as a replica hit when the target
     /// already held `hit_tokens` of the victim's `input_tokens` context
-    /// (fraction ≥ [`FailoverConfig::replica_hit_fraction`]).
-    pub fn placed(
+    /// (fraction ≥ [`REPLICA_HIT_FRACTION`]).
+    pub(crate) fn placed(
         &mut self,
         victim: &MigratableVictim,
         target: usize,
@@ -239,7 +225,7 @@ impl FailoverEngine {
     ) {
         self.stats.migrated += 1;
         let input = victim.spec.input_tokens().max(1);
-        if hit_tokens as f64 >= self.cfg.replica_hit_fraction * input as f64 {
+        if hit_tokens as f64 >= REPLICA_HIT_FRACTION * input as f64 {
             self.stats.replica_hit += 1;
         } else {
             self.stats.reprefill += 1;
@@ -253,7 +239,7 @@ impl FailoverEngine {
     /// Splits migrated victims into finished vs shed using their final
     /// placement. Call once, after the fleet drains, before building
     /// the report.
-    pub fn finalize(&mut self, finished: impl Fn(usize, ReqId) -> bool) {
+    pub(crate) fn finalize(&mut self, finished: impl Fn(usize, ReqId) -> bool) {
         for &(target, local) in self.placements.values() {
             if finished(target, local) {
                 self.stats.migrated_finished += 1;
@@ -319,16 +305,17 @@ mod tests {
     #[test]
     fn target_prefers_replicas_then_shallow_queues() {
         let signals = [sig(0, 0, true), sig(800, 5, true), sig(800, 2, true)];
-        assert_eq!(pick_migration_target(&signals), Some(2));
+        let any = |_: usize, _: &InstanceSignals| true;
+        assert_eq!(pick_migration_target(&signals, any), Some(2));
         let no_replica = [sig(0, 3, true), sig(0, 3, true)];
-        assert_eq!(pick_migration_target(&no_replica), Some(0));
+        assert_eq!(pick_migration_target(&no_replica, any), Some(0));
         let all_down = [sig(900, 0, false)];
-        assert_eq!(pick_migration_target(&all_down), None);
+        assert_eq!(pick_migration_target(&all_down, any), None);
     }
 
     #[test]
     fn queue_orders_by_due_then_seq_and_backoff_doubles() {
-        let mut eng = FailoverEngine::new(FailoverConfig::default(), t(100.0));
+        let mut eng = FailoverEngine::new(t(100.0));
         eng.enqueue_drained(vec![victim(1, 0.0, 5.0, 0), victim(2, 0.0, 5.0, 0)], t(6.0));
         assert_eq!(eng.stats.drained, 2);
         assert_eq!(eng.next_wake(), Some(t(0.5)), "patrol tick comes first");
@@ -345,18 +332,16 @@ mod tests {
 
     #[test]
     fn budget_and_deadline_bound_retries() {
-        let cfg = FailoverConfig {
-            retry_budget: 2,
-            ..FailoverConfig::default()
-        };
-        let mut eng = FailoverEngine::new(cfg, t(100.0));
+        let mut eng = FailoverEngine::new(t(100.0));
         eng.enqueue_drained(vec![victim(1, 0.0, 5.0, 1)], t(6.0));
         eng.take_due(t(6.0));
-        eng.no_target(victim(1, 0.0, 5.0, 1), t(6.0));
-        eng.no_target(victim(1, 0.0, 5.0, 1), t(7.0));
+        for k in 0..RETRY_BUDGET {
+            eng.no_target(victim(1, 0.0, 5.0, 1), t(6.0 + f64::from(k)));
+        }
+        assert_eq!(eng.stats.gave_up, 0, "every attempt within budget retries");
         eng.take_due(t(50.0));
-        // Third failed attempt exceeds the budget of 2.
-        eng.no_target(victim(1, 0.0, 5.0, 1), t(8.0));
+        // The next failed attempt exceeds the budget.
+        eng.no_target(victim(1, 0.0, 5.0, 1), t(9.0));
         assert_eq!(eng.stats.gave_up, 1);
         // A tokenless victim past its original-arrival TTFT deadline is
         // not retried at all.
@@ -369,7 +354,7 @@ mod tests {
 
     #[test]
     fn placement_classifies_replica_hits_and_finalizes() {
-        let mut eng = FailoverEngine::new(FailoverConfig::default(), t(100.0));
+        let mut eng = FailoverEngine::new(t(100.0));
         let v1 = victim(1, 0.0, 5.0, 0);
         let v2 = victim(2, 0.0, 5.0, 0);
         eng.placed(&v1, 2, 40, 900, t(6.0));

@@ -1,6 +1,6 @@
 //! Per-member health state machine: the fleet's circuit breaker.
 //!
-//! Each fleet member carries a [`HealthTracker`] fed with
+//! [`Health`] carries one [`HealthTracker`] per fleet member, fed with
 //! [`Observation`]s read at deterministic instants (arrival barriers and
 //! failover patrol ticks — never at the no-op extra barriers, so
 //! interleaving insensitivity survives). The tracker runs the classic
@@ -27,15 +27,44 @@
 //!   member right now (ground truth from the instance's fault memo).
 //! - [`Observation::latency_exceed`]: the member's finished-request
 //!   TTFT EWMA ([`LatencyEwma`], sampled only at merge barriers)
-//!   exceeds [`HealthConfig::gray_exceed_ratio`] × the fleet median —
-//!   the observational signal that catches slowness whatever its cause.
+//!   exceeds [`GRAY_EXCEED_RATIO`] × the fleet median — the
+//!   observational signal that catches slowness whatever its cause.
 //!
 //! A gray observation degrades the member (so score-based policies
 //! steer new sessions away and hedged dispatch arms) but ejects only
-//! after the *longer* [`HealthConfig::gray_eject_after`] window: a slow
-//! member still serves, so evicting it is a last resort, not a reflex.
+//! after the *longer* [`GRAY_EJECT_AFTER`] window: a slow member still
+//! serves, so evicting it is a last resort, not a reflex.
 
 use simcore::{SimDuration, SimTime};
+
+use crate::FleetMember;
+
+/// How long a bad window must last before ejection (2 s; a permanent
+/// crash ejects immediately, skipping this grace).
+pub(crate) const EJECT_AFTER: SimDuration = SimDuration::from_nanos(2_000_000_000);
+
+/// Base delay from ejection to the first half-open probe (2 s); doubles
+/// on every consecutive re-ejection.
+const PROBE_AFTER: SimDuration = SimDuration::from_nanos(2_000_000_000);
+
+/// Cap on the probe-backoff doubling (shift count), so a repeatedly
+/// failing member still gets probed on a bounded cadence.
+const MAX_PROBE_SHIFT: u32 = 6;
+
+/// How long a *gray* window (slow-but-alive: gray fault active or
+/// latency exceeding the fleet median ratio) must last before ejection
+/// (8 s). Deliberately longer than [`EJECT_AFTER`]: a gray member still
+/// serves traffic, so hedging covers its tail while the breaker waits
+/// for the slowness to prove chronic.
+const GRAY_EJECT_AFTER: SimDuration = SimDuration::from_nanos(8_000_000_000);
+
+/// EWMA smoothing factor for the per-member finished-request latency
+/// trackers (weight of the newest barrier's batch mean).
+const EWMA_ALPHA: f64 = 0.3;
+
+/// A member whose TTFT EWMA exceeds this multiple of the fleet median
+/// reads as [`Observation::latency_exceed`].
+const GRAY_EXCEED_RATIO: f64 = 2.5;
 
 /// Where a member sits in the breaker cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,8 +72,8 @@ pub enum HealthState {
     /// No bad observations outstanding; fully routable.
     Healthy,
     /// A bad window is open (dead GPU or severe degradation) but has not
-    /// lasted [`HealthConfig::eject_after`] yet. Routable, but policies
-    /// may score-penalize it.
+    /// lasted the ejection grace (2 s) yet. Routable, but policies may
+    /// score-penalize it.
     Degraded,
     /// Out of the routing set; re-enters via a scheduled probe.
     Ejected,
@@ -60,65 +89,25 @@ impl HealthState {
     }
 }
 
-/// Breaker timing knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct HealthConfig {
-    /// How long a bad window must last before ejection (a permanent
-    /// crash ejects immediately, skipping this grace).
-    pub eject_after: SimDuration,
-    /// Base delay from ejection to the first half-open probe; doubles on
-    /// every consecutive re-ejection.
-    pub probe_after: SimDuration,
-    /// Cap on the probe-backoff doubling (shift count), so a repeatedly
-    /// failing member still gets probed on a bounded cadence.
-    pub max_probe_shift: u32,
-    /// How long a *gray* window (slow-but-alive: gray fault active or
-    /// latency exceeding the fleet median ratio) must last before
-    /// ejection. Deliberately longer than [`HealthConfig::eject_after`]:
-    /// a gray member still serves traffic, so hedging covers its tail
-    /// while the breaker waits for the slowness to prove chronic.
-    pub gray_eject_after: SimDuration,
-    /// EWMA smoothing factor for the per-member finished-request latency
-    /// trackers (weight of the newest barrier's batch mean).
-    pub ewma_alpha: f64,
-    /// A member whose TTFT EWMA exceeds this multiple of the fleet
-    /// median reads as [`Observation::latency_exceed`].
-    pub gray_exceed_ratio: f64,
-}
-
-impl Default for HealthConfig {
-    fn default() -> HealthConfig {
-        HealthConfig {
-            eject_after: SimDuration::from_secs(2.0),
-            probe_after: SimDuration::from_secs(2.0),
-            max_probe_shift: 6,
-            gray_eject_after: SimDuration::from_secs(8.0),
-            ewma_alpha: 0.3,
-            gray_exceed_ratio: 2.5,
-        }
-    }
-}
-
 /// One deterministic health reading of a member.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct Observation {
+struct Observation {
     /// Currently fail-stopped GPUs ([`gpusim::GpuSim::num_dead_gpus`]).
-    pub dead_gpus: u32,
+    dead_gpus: u32,
     /// Whether a severe fault window (brownout/KV-shrink/fail-stop) is
     /// open right now.
-    pub severe_fault: bool,
+    severe_fault: bool,
     /// Whether a permanent fail-stop has struck — the member never fully
     /// recovers, so ejection is immediate and probes are pointless (but
     /// still scheduled; they simply observe bad and re-eject).
-    pub permanent_crash: bool,
+    permanent_crash: bool,
     /// Whether a gray (non-severe) fault window — kernel latency spike
     /// or HBM/NVLink bandwidth degrade — is open on the member right now
     /// ([`serving::Instance::in_gray_fault`]).
-    pub gray_fault: bool,
+    gray_fault: bool,
     /// Whether the member's finished-request TTFT EWMA exceeds
-    /// [`HealthConfig::gray_exceed_ratio`] × the fleet median (computed
-    /// by the fleet from its [`LatencyEwma`] trackers at the barrier).
-    pub latency_exceed: bool,
+    /// [`GRAY_EXCEED_RATIO`] × the fleet median ([`latency_exceeds`]).
+    latency_exceed: bool,
 }
 
 impl Observation {
@@ -145,12 +134,74 @@ pub struct HealthStats {
     pub gray_ejections: u64,
 }
 
+/// The fleet's health tier: one breaker and one latency EWMA per member,
+/// plus the fleet-wide counters.
+#[derive(Debug)]
+pub(crate) struct Health {
+    trackers: Vec<HealthTracker>,
+    ewmas: Vec<LatencyEwma>,
+    /// Whether some member schedules a fault. Unarmed runs skip the
+    /// latency sampling and gray reads, so fault-free replays stay
+    /// byte-identical.
+    gray_armed: bool,
+    pub(crate) stats: HealthStats,
+}
+
+impl Health {
+    /// Healthy trackers and empty EWMAs for `members` members.
+    pub(crate) fn new(members: usize, gray_armed: bool) -> Health {
+        Health {
+            trackers: vec![HealthTracker::default(); members],
+            ewmas: vec![LatencyEwma::default(); members],
+            gray_armed,
+            stats: HealthStats::default(),
+        }
+    }
+
+    /// The breaker state of member `idx` as of the last observation.
+    pub(crate) fn state(&self, idx: usize) -> HealthState {
+        self.trackers[idx].state
+    }
+
+    /// Member `idx`'s smoothed finished-request TTFT in seconds (`None`
+    /// until a request has finished and been sampled).
+    pub(crate) fn ttft(&self, idx: usize) -> Option<f64> {
+        self.ewmas[idx].ttft
+    }
+
+    /// Observes every member at barrier `now`, in index order. Latency
+    /// evidence is sampled first (when armed): batch means over the
+    /// finished-request deltas since the previous sample, folded into
+    /// the EWMAs and compared against the fleet median. Reading
+    /// cumulative totals at settled instants keeps the fold independent
+    /// of stepping order and thread count.
+    pub(crate) fn observe(&mut self, now: SimTime, members: &[FleetMember]) {
+        let exceeds = if self.gray_armed {
+            for (e, m) in self.ewmas.iter_mut().zip(members) {
+                e.sample(m.instance.finished_latency());
+            }
+            latency_exceeds(&self.ewmas)
+        } else {
+            Vec::new()
+        };
+        for (idx, (tracker, m)) in self.trackers.iter_mut().zip(members).enumerate() {
+            let obs = Observation {
+                dead_gpus: m.instance.dead_gpus(),
+                severe_fault: m.instance.in_severe_fault(),
+                permanent_crash: m.instance.permanently_crashed(),
+                gray_fault: self.gray_armed && m.instance.in_gray_fault(),
+                latency_exceed: exceeds.get(idx).is_some_and(|&x| x),
+            };
+            tracker.observe(now, obs, &mut self.stats);
+        }
+    }
+}
+
 /// The breaker for one member. All transitions are pure functions of
 /// `(state, observation, now)`, so replay determinism reduces to feeding
 /// observations at deterministic instants.
 #[derive(Debug, Clone)]
-pub struct HealthTracker {
-    cfg: HealthConfig,
+struct HealthTracker {
     state: HealthState,
     bad_since: Option<SimTime>,
     gray_since: Option<SimTime>,
@@ -158,11 +209,9 @@ pub struct HealthTracker {
     consecutive_ejections: u32,
 }
 
-impl HealthTracker {
-    /// A healthy tracker.
-    pub fn new(cfg: HealthConfig) -> HealthTracker {
+impl Default for HealthTracker {
+    fn default() -> HealthTracker {
         HealthTracker {
-            cfg,
             state: HealthState::Healthy,
             bad_since: None,
             gray_since: None,
@@ -170,19 +219,11 @@ impl HealthTracker {
             consecutive_ejections: 0,
         }
     }
+}
 
-    /// Current state (between observations).
-    pub fn state(&self) -> HealthState {
-        self.state
-    }
-
+impl HealthTracker {
     /// Feeds one observation at `now` and returns the new state.
-    pub fn observe(
-        &mut self,
-        now: SimTime,
-        obs: Observation,
-        stats: &mut HealthStats,
-    ) -> HealthState {
+    fn observe(&mut self, now: SimTime, obs: Observation, stats: &mut HealthStats) -> HealthState {
         match self.state {
             HealthState::Healthy => {
                 if obs.bad() {
@@ -203,13 +244,13 @@ impl HealthTracker {
                     // short eject_after clock runs from the first bad
                     // reading, not from the gray onset.
                     let since = *self.bad_since.get_or_insert(now);
-                    if obs.permanent_crash || now.since(since) >= self.cfg.eject_after {
+                    if obs.permanent_crash || now.since(since) >= EJECT_AFTER {
                         self.eject(now, stats);
                     }
                 } else if obs.gray() {
                     self.bad_since = None;
                     let since = *self.gray_since.get_or_insert(now);
-                    if now.since(since) >= self.cfg.gray_eject_after {
+                    if now.since(since) >= GRAY_EJECT_AFTER {
                         stats.gray_ejections += 1;
                         self.eject(now, stats);
                     }
@@ -250,13 +291,8 @@ impl HealthTracker {
     }
 
     fn eject_probe_delay(&self) -> SimDuration {
-        let shift = self.consecutive_ejections.min(self.cfg.max_probe_shift);
-        SimDuration::from_nanos(
-            self.cfg
-                .probe_after
-                .as_nanos()
-                .saturating_mul(1u64 << shift),
-        )
+        let shift = self.consecutive_ejections.min(MAX_PROBE_SHIFT);
+        SimDuration::from_nanos(PROBE_AFTER.as_nanos().saturating_mul(1u64 << shift))
     }
 
     fn eject(&mut self, now: SimTime, stats: &mut HealthStats) {
@@ -267,90 +303,52 @@ impl HealthTracker {
     }
 }
 
-/// Deterministic per-member EWMA of finished-request TTFT/TBT.
+/// Deterministic per-member EWMA of finished-request TTFT.
 ///
 /// Fed exclusively at merge barriers from the monotone cumulative totals
 /// in [`serving::MetricsRecorder::finished_latency`]: each sample is the
 /// *batch mean* of the requests that finished since the previous
-/// barrier, folded as `ewma = α·batch + (1−α)·ewma`. Because the totals
-/// are accumulated in the instance's own deterministic finish order and
-/// read only at barrier instants, the EWMA sequence is a pure function
-/// of the trace — bit-identical at any thread count or barrier
-/// interleaving (extra no-op barriers are excluded by the fleet loop,
-/// which samples only at arrival/patrol/hedge barriers where it also
-/// observes health).
-#[derive(Debug, Clone)]
-pub struct LatencyEwma {
-    alpha: f64,
+/// barrier, folded as `ewma = α·batch + (1−α)·ewma` with α =
+/// [`EWMA_ALPHA`]. Because the totals are accumulated in the instance's
+/// own deterministic finish order and read only at barrier instants, the
+/// EWMA sequence is a pure function of the trace — bit-identical at any
+/// thread count or barrier interleaving (extra no-op barriers are
+/// excluded by the fleet loop, which samples only at arrival/patrol
+/// barriers where it also observes health).
+#[derive(Debug, Clone, Default)]
+struct LatencyEwma {
     last_count: u64,
     last_ttft_sum: f64,
-    last_tbt_count: u64,
-    last_tbt_sum: f64,
     ttft: Option<f64>,
-    tbt: Option<f64>,
 }
 
 impl LatencyEwma {
-    /// An empty tracker with smoothing factor `alpha` (weight of the
-    /// newest batch mean).
-    pub fn new(alpha: f64) -> LatencyEwma {
-        LatencyEwma {
-            alpha,
-            last_count: 0,
-            last_ttft_sum: 0.0,
-            last_tbt_count: 0,
-            last_tbt_sum: 0.0,
-            ttft: None,
-            tbt: None,
-        }
-    }
-
     /// Folds one barrier reading of the member's cumulative
-    /// finished-latency totals `(finished, ttft_sum, tbt_count,
-    /// tbt_sum)`. Barriers where nothing finished leave the EWMA
-    /// untouched, so injecting extra observation instants with no
-    /// completions cannot move it.
-    pub fn sample(&mut self, totals: (u64, f64, u64, f64)) {
-        let (count, ttft_sum, tbt_count, tbt_sum) = totals;
+    /// finished-latency totals `(finished, ttft_sum)`. Barriers where
+    /// nothing finished leave the EWMA untouched, so injecting extra
+    /// observation instants with no completions cannot move it.
+    fn sample(&mut self, (count, ttft_sum): (u64, f64)) {
         if count > self.last_count {
             let batch = (ttft_sum - self.last_ttft_sum) / (count - self.last_count) as f64;
             self.ttft = Some(match self.ttft {
-                Some(prev) => self.alpha * batch + (1.0 - self.alpha) * prev,
-                None => batch,
-            });
-        }
-        if tbt_count > self.last_tbt_count {
-            let batch = (tbt_sum - self.last_tbt_sum) / (tbt_count - self.last_tbt_count) as f64;
-            self.tbt = Some(match self.tbt {
-                Some(prev) => self.alpha * batch + (1.0 - self.alpha) * prev,
+                Some(prev) => EWMA_ALPHA * batch + (1.0 - EWMA_ALPHA) * prev,
                 None => batch,
             });
         }
         self.last_count = count;
         self.last_ttft_sum = ttft_sum;
-        self.last_tbt_count = tbt_count;
-        self.last_tbt_sum = tbt_sum;
-    }
-
-    /// Smoothed TTFT in seconds (`None` until a request has finished).
-    pub fn ttft(&self) -> Option<f64> {
-        self.ttft
-    }
-
-    /// Smoothed TBT in seconds (`None` until a gap has been observed).
-    pub fn tbt(&self) -> Option<f64> {
-        self.tbt
     }
 }
 
-/// Flags members whose TTFT EWMA exceeds `ratio` × the fleet median.
+/// Flags members whose TTFT EWMA exceeds [`GRAY_EXCEED_RATIO`] × the
+/// fleet median.
 ///
 /// The median is taken over members with at least one finished request
 /// (order statistics via a total-order float sort — deterministic for
 /// the finite latencies the simulator produces). With fewer than two
 /// observable members there is no peer group and nothing is flagged.
-pub fn latency_exceeds(ewmas: &[LatencyEwma], ratio: f64) -> Vec<bool> {
-    let mut observed: Vec<f64> = ewmas.iter().filter_map(LatencyEwma::ttft).collect();
+fn latency_exceeds(ewmas: &[LatencyEwma]) -> Vec<bool> {
+    let mut observed: Vec<f64> = ewmas.iter().filter_map(|e| e.ttft).collect();
     if observed.len() < 2 {
         return vec![false; ewmas.len()];
     }
@@ -363,7 +361,10 @@ pub fn latency_exceeds(ewmas: &[LatencyEwma], ratio: f64) -> Vec<bool> {
     };
     ewmas
         .iter()
-        .map(|e| e.ttft().is_some_and(|t| t > ratio * median && median > 0.0))
+        .map(|e| {
+            e.ttft
+                .is_some_and(|t| t > GRAY_EXCEED_RATIO * median && median > 0.0)
+        })
         .collect()
 }
 
@@ -396,14 +397,14 @@ mod tests {
 
     #[test]
     fn sustained_badness_ejects_then_probe_recovers() {
-        let mut h = HealthTracker::new(HealthConfig::default());
+        let mut h = HealthTracker::default();
         let mut s = HealthStats::default();
         assert_eq!(h.observe(t(1.0), bad(), &mut s), HealthState::Degraded);
-        assert!(h.state().admits_traffic());
+        assert!(h.state.admits_traffic());
         // Still inside the grace window.
         assert_eq!(h.observe(t(2.0), bad(), &mut s), HealthState::Degraded);
         assert_eq!(h.observe(t(3.0), bad(), &mut s), HealthState::Ejected);
-        assert!(!h.state().admits_traffic());
+        assert!(!h.state.admits_traffic());
         // Probe opens 2s after ejection; a good reading recovers fully.
         assert_eq!(h.observe(t(4.0), good(), &mut s), HealthState::Ejected);
         assert_eq!(h.observe(t(5.0), good(), &mut s), HealthState::Healthy);
@@ -412,7 +413,7 @@ mod tests {
 
     #[test]
     fn transient_blip_never_ejects() {
-        let mut h = HealthTracker::new(HealthConfig::default());
+        let mut h = HealthTracker::default();
         let mut s = HealthStats::default();
         assert_eq!(h.observe(t(1.0), bad(), &mut s), HealthState::Degraded);
         assert_eq!(h.observe(t(1.5), good(), &mut s), HealthState::Healthy);
@@ -421,7 +422,7 @@ mod tests {
 
     #[test]
     fn permanent_crash_ejects_immediately_and_probe_backoff_doubles() {
-        let mut h = HealthTracker::new(HealthConfig::default());
+        let mut h = HealthTracker::default();
         let mut s = HealthStats::default();
         let perm = Observation {
             dead_gpus: 1,
@@ -441,19 +442,13 @@ mod tests {
         assert_eq!(s.ejections, 3);
     }
 
-    /// Boundary test for [`HealthConfig::max_probe_shift`]: a member
-    /// that fails every probe forever sees its probe backoff double only
-    /// up to the cap, then hold there — the breaker keeps probing on a
-    /// bounded cadence instead of backing off toward infinity.
+    /// Boundary test for [`MAX_PROBE_SHIFT`]: a member that fails every
+    /// probe forever sees its probe backoff double only up to the cap,
+    /// then hold there — the breaker keeps probing on a bounded cadence
+    /// instead of backing off toward infinity.
     #[test]
     fn probe_backoff_stops_doubling_at_max_probe_shift() {
-        let cfg = HealthConfig {
-            eject_after: SimDuration::from_secs(0.0),
-            probe_after: SimDuration::from_secs(1.0),
-            max_probe_shift: 3,
-            ..HealthConfig::default()
-        };
-        let mut h = HealthTracker::new(cfg);
+        let mut h = HealthTracker::default();
         let mut s = HealthStats::default();
         let perm = Observation {
             dead_gpus: 1,
@@ -463,23 +458,24 @@ mod tests {
         };
         // First observation ejects immediately (permanent crash).
         assert_eq!(h.observe(t(0.0), perm, &mut s), HealthState::Ejected);
+        // Doubling: 4, 8 … then pinned at probe_after << max_probe_shift.
+        let cap = PROBE_AFTER.as_secs() * f64::from(1u32 << MAX_PROBE_SHIFT);
         // Walk the probe schedule by observing densely and recording
-        // the instants where a probe actually opens.
+        // the instants where a probe actually opens: enough probes for
+        // the doublings plus four gaps at the cap.
         let mut probe_times = Vec::new();
         let mut probes_seen = s.probes;
         let mut now = 0.0;
-        while probe_times.len() < 8 {
+        while probe_times.len() < MAX_PROBE_SHIFT as usize + 4 {
             now += 0.5;
             h.observe(t(now), perm, &mut s);
             if s.probes > probes_seen {
                 probes_seen = s.probes;
                 probe_times.push(now);
             }
-            assert!(now < 200.0, "probe cadence unbounded: {probe_times:?}");
+            assert!(now < 10.0 * cap, "probe cadence unbounded: {probe_times:?}");
         }
         let gaps: Vec<f64> = probe_times.windows(2).map(|w| w[1] - w[0]).collect();
-        // Doubling: 2, 4, 8 … then pinned at 2^3 = 8 s forever.
-        let cap = 8.0;
         assert!(
             gaps.iter().rev().take(4).all(|&g| (g - cap).abs() < 0.51),
             "backoff must hold at the cap: {gaps:?}"
@@ -494,16 +490,11 @@ mod tests {
 
     #[test]
     fn gray_window_degrades_then_ejects_after_the_longer_window() {
-        let cfg = HealthConfig {
-            eject_after: SimDuration::from_secs(2.0),
-            gray_eject_after: SimDuration::from_secs(8.0),
-            ..HealthConfig::default()
-        };
-        let mut h = HealthTracker::new(cfg);
+        let mut h = HealthTracker::default();
         let mut s = HealthStats::default();
         assert_eq!(h.observe(t(1.0), gray(), &mut s), HealthState::Degraded);
         assert_eq!(s.gray_trips, 1);
-        assert!(h.state().admits_traffic(), "gray members keep serving");
+        assert!(h.state.admits_traffic(), "gray members keep serving");
         // Past the loud eject window but inside the gray one: still
         // only degraded.
         assert_eq!(h.observe(t(5.0), gray(), &mut s), HealthState::Degraded);
@@ -520,7 +511,7 @@ mod tests {
 
     #[test]
     fn gray_blip_recovers_without_ejecting() {
-        let mut h = HealthTracker::new(HealthConfig::default());
+        let mut h = HealthTracker::default();
         let mut s = HealthStats::default();
         assert_eq!(h.observe(t(1.0), gray(), &mut s), HealthState::Degraded);
         assert_eq!(h.observe(t(2.0), good(), &mut s), HealthState::Healthy);
@@ -530,7 +521,7 @@ mod tests {
 
     #[test]
     fn bad_supersedes_gray_with_the_short_window() {
-        let mut h = HealthTracker::new(HealthConfig::default());
+        let mut h = HealthTracker::default();
         let mut s = HealthStats::default();
         // Gray opens at t=1; a loud fault lands at t=2. The short
         // eject_after (2 s) runs from the bad reading, not the gray one.
@@ -543,33 +534,35 @@ mod tests {
 
     #[test]
     fn ewma_folds_batch_means_and_ignores_empty_barriers() {
-        let mut e = LatencyEwma::new(0.5);
-        assert_eq!(e.ttft(), None);
+        let mut e = LatencyEwma::default();
+        assert_eq!(e.ttft, None);
         // Two requests finished with TTFT 1.0 and 3.0 → batch mean 2.0.
-        e.sample((2, 4.0, 0, 0.0));
-        assert!((e.ttft().unwrap() - 2.0).abs() < 1e-12);
+        e.sample((2, 4.0));
+        assert!((e.ttft.unwrap() - 2.0).abs() < 1e-12);
         // An empty barrier moves nothing.
-        e.sample((2, 4.0, 0, 0.0));
-        assert!((e.ttft().unwrap() - 2.0).abs() < 1e-12);
-        // One more finish at TTFT 6.0 → 0.5·6 + 0.5·2 = 4.0.
-        e.sample((3, 10.0, 2, 0.1));
-        assert!((e.ttft().unwrap() - 4.0).abs() < 1e-12);
-        assert!((e.tbt().unwrap() - 0.05).abs() < 1e-12);
+        e.sample((2, 4.0));
+        assert!((e.ttft.unwrap() - 2.0).abs() < 1e-12);
+        // One more finish at TTFT 6.0 → α·6 + (1−α)·2.
+        e.sample((3, 10.0));
+        let want = EWMA_ALPHA * 6.0 + (1.0 - EWMA_ALPHA) * 2.0;
+        assert!((e.ttft.unwrap() - want).abs() < 1e-12);
     }
 
     #[test]
     fn latency_exceeds_flags_only_true_outliers() {
         let mk = |ttft: Option<f64>| {
-            let mut e = LatencyEwma::new(0.3);
+            let mut e = LatencyEwma::default();
             if let Some(t) = ttft {
-                e.sample((1, t, 0, 0.0));
+                e.sample((1, t));
             }
             e
         };
+        // The median of the observed members is 1.2; only 5.0 clears
+        // GRAY_EXCEED_RATIO × 1.2.
         let ewmas = vec![mk(Some(1.0)), mk(Some(1.2)), mk(Some(5.0)), mk(None)];
-        let flags = latency_exceeds(&ewmas, 2.5);
+        let flags = latency_exceeds(&ewmas);
         assert_eq!(flags, vec![false, false, true, false]);
         // A lone member has no peer group.
-        assert_eq!(latency_exceeds(&ewmas[2..3], 2.5), vec![false]);
+        assert_eq!(latency_exceeds(&ewmas[2..3]), vec![false]);
     }
 }

@@ -17,10 +17,10 @@
 //!
 //! - a fleet-level token-bucket [`RetryBudget`] *shared* by failover
 //!   re-admissions and hedges — hedging disarms first (it needs
-//!   [`HedgeConfig::min_budget_for_hedge`] tokens in reserve), so when
-//!   the bucket drains, crash recovery still gets the remainder;
-//! - a per-target queue watermark ([`HedgeConfig::hedge_queue_watermark`]):
-//!   no duplicate is placed on a member that is itself loaded;
+//!   [`MIN_BUDGET_FOR_HEDGE`] tokens in reserve), so when the bucket
+//!   drains, crash recovery still gets the remainder;
+//! - a per-target queue watermark ([`HEDGE_QUEUE_WATERMARK`]): no
+//!   duplicate is placed on a member that is itself loaded;
 //! - ingress watermark shedding ([`HedgeConfig::ingress_watermark`]):
 //!   when *every* admitting member is over the watermark the fleet sheds
 //!   first-copy traffic at ingress instead of queueing it — and hedges,
@@ -38,7 +38,26 @@
 use serving::ReqId;
 use simcore::{SimDuration, SimTime};
 
+use crate::failover::pick_migration_target;
 use crate::router::InstanceSignals;
+
+/// Cadence of the hedge-resolution barrier while pairs are outstanding
+/// (0.25 s): how soon after the winner finishes the loser is cancelled.
+const CHECK_EVERY: SimDuration = SimDuration::from_nanos(250_000_000);
+
+/// Token-bucket capacity of the shared retry budget.
+const BUDGET_CAPACITY: f64 = 64.0;
+
+/// Token-bucket refill rate (tokens per simulated second).
+const BUDGET_REFILL_PER_SEC: f64 = 4.0;
+
+/// Hedging disarms while fewer than this many tokens remain, reserving
+/// the tail of the bucket for failover re-admissions.
+const MIN_BUDGET_FOR_HEDGE: f64 = 8.0;
+
+/// No hedge is placed on a runner-up with at least this many requests
+/// in flight (a loaded member is no rescue).
+const HEDGE_QUEUE_WATERMARK: usize = 64;
 
 /// Hedged-dispatch and overload-control knobs.
 #[derive(Debug, Clone, Copy)]
@@ -50,20 +69,6 @@ pub struct HedgeConfig {
     /// Hedge whenever the chosen member is degraded (the gray-failure
     /// fast path — no latency evidence needed beyond the breaker's).
     pub hedge_on_degraded: bool,
-    /// Cadence of the hedge-resolution barrier while pairs are
-    /// outstanding (how soon after the winner finishes the loser is
-    /// cancelled).
-    pub check_every: SimDuration,
-    /// Token-bucket capacity of the shared retry budget.
-    pub budget_capacity: f64,
-    /// Token-bucket refill rate (tokens per simulated second).
-    pub budget_refill_per_sec: f64,
-    /// Hedging disarms while fewer than this many tokens remain,
-    /// reserving the tail of the bucket for failover re-admissions.
-    pub min_budget_for_hedge: f64,
-    /// No hedge is placed on a runner-up with at least this many
-    /// requests in flight (a loaded member is no rescue).
-    pub hedge_queue_watermark: usize,
     /// When every routable member has at least this many requests in
     /// flight, first-copy arrivals are shed at ingress.
     /// `usize::MAX` (the default) disables ingress shedding.
@@ -75,11 +80,6 @@ impl Default for HedgeConfig {
         HedgeConfig {
             delay_threshold: SimDuration::from_secs(3.0),
             hedge_on_degraded: true,
-            check_every: SimDuration::from_secs(0.25),
-            budget_capacity: 64.0,
-            budget_refill_per_sec: 4.0,
-            min_budget_for_hedge: 8.0,
-            hedge_queue_watermark: 64,
             ingress_watermark: usize::MAX,
         }
     }
@@ -94,7 +94,6 @@ impl HedgeConfig {
             delay_threshold: SimDuration::MAX,
             hedge_on_degraded: false,
             ingress_watermark: usize::MAX,
-            ..HedgeConfig::default()
         }
     }
 }
@@ -140,43 +139,38 @@ pub struct OverloadStats {
 }
 
 /// A deterministic token bucket over simulated time: the fleet's shared
-/// retry budget. Refill is a pure function of elapsed simulated time,
-/// so spend decisions replay identically at any thread count.
+/// retry budget ([`BUDGET_CAPACITY`] tokens, refilled at
+/// [`BUDGET_REFILL_PER_SEC`]). Refill is a pure function of elapsed
+/// simulated time, so spend decisions replay identically at any thread
+/// count.
 #[derive(Debug, Clone)]
-pub struct RetryBudget {
-    capacity: f64,
-    refill_per_sec: f64,
+struct RetryBudget {
     tokens: f64,
     last: SimTime,
 }
 
-impl RetryBudget {
+impl Default for RetryBudget {
     /// A full bucket.
-    pub fn new(capacity: f64, refill_per_sec: f64) -> RetryBudget {
+    fn default() -> RetryBudget {
         RetryBudget {
-            capacity,
-            refill_per_sec,
-            tokens: capacity,
+            tokens: BUDGET_CAPACITY,
             last: SimTime::ZERO,
         }
     }
+}
 
+impl RetryBudget {
     /// Advances the refill clock to `now`.
-    pub fn refill(&mut self, now: SimTime) {
+    fn refill(&mut self, now: SimTime) {
         if now > self.last {
             let dt = now.since(self.last).as_secs();
-            self.tokens = (self.tokens + dt * self.refill_per_sec).min(self.capacity);
+            self.tokens = (self.tokens + dt * BUDGET_REFILL_PER_SEC).min(BUDGET_CAPACITY);
         }
         self.last = self.last.max(now);
     }
 
-    /// Tokens currently available.
-    pub fn available(&self) -> f64 {
-        self.tokens
-    }
-
     /// Spends one token if available; returns whether it was.
-    pub fn try_spend(&mut self) -> bool {
+    fn try_spend(&mut self) -> bool {
         if self.tokens >= 1.0 {
             self.tokens -= 1.0;
             true
@@ -189,11 +183,11 @@ impl RetryBudget {
 /// One outstanding hedged pair: the primary (router's choice) and the
 /// speculative duplicate, as `(member index, instance-local id)`.
 #[derive(Debug, Clone, Copy)]
-pub struct HedgePair {
+pub(crate) struct HedgePair {
     /// The original copy.
-    pub primary: (usize, ReqId),
+    pub(crate) primary: (usize, ReqId),
     /// The duplicate on the runner-up member.
-    pub hedge: (usize, ReqId),
+    pub(crate) hedge: (usize, ReqId),
 }
 
 /// Caller-observed terminal state of one outstanding pair, read from the
@@ -201,42 +195,87 @@ pub struct HedgePair {
 /// `*_finished` is cancel-aware (a cancelled drain does not count);
 /// `*_resolved` means the copy reached any terminal class.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PairStatus {
+pub(crate) struct PairStatus {
     /// The primary copy finished.
-    pub primary_finished: bool,
+    pub(crate) primary_finished: bool,
     /// The hedge copy finished.
-    pub hedge_finished: bool,
+    pub(crate) hedge_finished: bool,
     /// The primary copy finished, shed or was cancelled.
-    pub primary_resolved: bool,
+    pub(crate) primary_resolved: bool,
     /// The hedge copy finished, shed or was cancelled.
-    pub hedge_resolved: bool,
+    pub(crate) hedge_resolved: bool,
 }
 
-/// Book-keeper for outstanding hedged pairs and the resolution barrier.
+/// Book-keeper for outstanding hedged pairs, the resolution barrier and
+/// the retry budget it shares with failover.
 #[derive(Debug)]
-pub struct HedgeEngine {
+pub(crate) struct HedgeEngine {
     cfg: HedgeConfig,
     pairs: Vec<HedgePair>,
     next_check: Option<SimTime>,
-    /// Hedged-dispatch counters (public: the fleet folds them into its
-    /// report).
-    pub stats: HedgeStats,
+    budget: RetryBudget,
+    /// Hedged-dispatch counters, folded into the fleet report.
+    pub(crate) stats: HedgeStats,
+    /// Ingress sheds and retry-budget spend, folded into the fleet
+    /// report.
+    pub(crate) overload: OverloadStats,
 }
 
 impl HedgeEngine {
-    /// An engine with no outstanding pairs.
-    pub fn new(cfg: HedgeConfig) -> HedgeEngine {
+    /// An engine with no outstanding pairs and a full budget.
+    pub(crate) fn new(cfg: HedgeConfig) -> HedgeEngine {
         HedgeEngine {
             cfg,
             pairs: Vec::new(),
             next_check: None,
+            budget: RetryBudget::default(),
             stats: HedgeStats::default(),
+            overload: OverloadStats::default(),
         }
     }
 
-    /// The configuration this engine runs.
-    pub fn config(&self) -> &HedgeConfig {
-        &self.cfg
+    /// Spends one budget token on a failover re-admission at `now`. A dry
+    /// bucket defers the victim instead: the caller returns it to the
+    /// failover queue, which burns one of its migration attempts.
+    pub(crate) fn spend_for_failover(&mut self, now: SimTime) -> bool {
+        self.budget.refill(now);
+        let spent = self.budget.try_spend();
+        if spent {
+            self.overload.budget_spent_failover += 1;
+        } else {
+            self.overload.failover_deferred += 1;
+        }
+        spent
+    }
+
+    /// Decides whether the arrival routed to `primary` at `now` gets a
+    /// hedge copy: the trigger must fire ([`HedgeEngine::should_hedge`]),
+    /// the budget must hold at least [`MIN_BUDGET_FOR_HEDGE`] tokens,
+    /// and a runner-up must exist. Returns the runner-up with its token spent;
+    /// a suppressed trigger is counted instead.
+    pub(crate) fn hedge_target(
+        &mut self,
+        signals: &[InstanceSignals],
+        primary: usize,
+        ewma_ttft: Option<f64>,
+        now: SimTime,
+    ) -> Option<usize> {
+        if !self.should_hedge(&signals[primary], ewma_ttft) {
+            return None;
+        }
+        self.budget.refill(now);
+        if self.budget.tokens < MIN_BUDGET_FOR_HEDGE {
+            self.stats.suppressed_budget += 1;
+            return None;
+        }
+        let Some(runner_up) = pick_runner_up(signals, primary) else {
+            self.stats.suppressed_no_target += 1;
+            return None;
+        };
+        let spent = self.budget.try_spend();
+        debug_assert!(spent, "reserve check guarantees a token");
+        self.overload.budget_spent_hedge += 1;
+        Some(runner_up)
     }
 
     /// Whether the router's choice should be hedged: degraded primary
@@ -244,7 +283,7 @@ impl HedgeEngine {
     /// `ewma_ttft` is the primary member's smoothed finished-request
     /// TTFT (`None` = no evidence yet, which never triggers the delay
     /// path).
-    pub fn should_hedge(&self, primary: &InstanceSignals, ewma_ttft: Option<f64>) -> bool {
+    fn should_hedge(&self, primary: &InstanceSignals, ewma_ttft: Option<f64>) -> bool {
         if self.cfg.hedge_on_degraded && primary.health == crate::HealthState::Degraded {
             return true;
         }
@@ -257,36 +296,10 @@ impl HedgeEngine {
         }
     }
 
-    /// Picks the runner-up member for a hedge: the best routable member
-    /// other than the primary, under the queue watermark, by prefix hit
-    /// (desc), then queue depth (asc), then index (asc) — the same
-    /// deterministic ordering the failover target picker uses.
-    pub fn pick_runner_up(&self, signals: &[InstanceSignals], primary: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for (i, s) in signals.iter().enumerate() {
-            if i == primary || !s.routable() || s.queue_depth >= self.cfg.hedge_queue_watermark {
-                continue;
-            }
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let (bs, cs) = (&signals[b], s);
-                    cs.prefix_hit_tokens > bs.prefix_hit_tokens
-                        || (cs.prefix_hit_tokens == bs.prefix_hit_tokens
-                            && cs.queue_depth < bs.queue_depth)
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        best
-    }
-
     /// Whether ingress shedding applies: the watermark is finite and
     /// every routable member sits at or above it. (No routable member at
     /// all is the failover tier's problem, not overload.)
-    pub fn ingress_overloaded(&self, signals: &[InstanceSignals]) -> bool {
+    pub(crate) fn ingress_overloaded(&self, signals: &[InstanceSignals]) -> bool {
         if self.cfg.ingress_watermark == usize::MAX {
             return false;
         }
@@ -301,10 +314,10 @@ impl HedgeEngine {
     }
 
     /// Registers a launched pair and schedules the resolution barrier.
-    pub fn launched(&mut self, pair: HedgePair, now: SimTime) {
+    pub(crate) fn launched(&mut self, pair: HedgePair, now: SimTime) {
         self.pairs.push(pair);
         self.stats.launched += 1;
-        let due = now + self.cfg.check_every;
+        let due = now + CHECK_EVERY;
         self.next_check = Some(match self.next_check {
             Some(t) => t.min(due),
             None => due,
@@ -313,7 +326,7 @@ impl HedgeEngine {
 
     /// The engine's next barrier instant: the scheduled resolution check
     /// while any pair is outstanding.
-    pub fn next_wake(&self) -> Option<SimTime> {
+    pub(crate) fn next_wake(&self) -> Option<SimTime> {
         if self.pairs.is_empty() {
             None
         } else {
@@ -322,7 +335,7 @@ impl HedgeEngine {
     }
 
     /// Outstanding pairs (resolution walks them in launch order).
-    pub fn pairs(&self) -> &[HedgePair] {
+    pub(crate) fn pairs(&self) -> &[HedgePair] {
         &self.pairs
     }
 
@@ -333,7 +346,7 @@ impl HedgeEngine {
     /// reports whether it was still waiting (`Some(true)`), already
     /// running (`Some(false)`), or already resolved (`None`).
     /// Reschedules the check barrier while pairs remain outstanding.
-    pub fn resolve(
+    pub(crate) fn resolve(
         &mut self,
         now: SimTime,
         status: &[PairStatus],
@@ -369,9 +382,18 @@ impl HedgeEngine {
         self.next_check = if self.pairs.is_empty() {
             None
         } else {
-            Some(now + self.cfg.check_every)
+            Some(now + CHECK_EVERY)
         };
     }
+}
+
+/// Picks the runner-up member for a hedge: the best routable member
+/// other than the primary and under [`HEDGE_QUEUE_WATERMARK`], by the
+/// failover target ordering ([`pick_migration_target`]).
+fn pick_runner_up(signals: &[InstanceSignals], primary: usize) -> Option<usize> {
+    pick_migration_target(signals, |i, s| {
+        i != primary && s.queue_depth < HEDGE_QUEUE_WATERMARK
+    })
 }
 
 #[cfg(test)]
@@ -392,17 +414,57 @@ mod tests {
 
     #[test]
     fn budget_refills_deterministically_and_caps() {
-        let mut b = RetryBudget::new(4.0, 2.0);
-        assert!(b.try_spend() && b.try_spend() && b.try_spend() && b.try_spend());
+        let mut b = RetryBudget::default();
+        for _ in 0..BUDGET_CAPACITY as usize {
+            assert!(b.try_spend());
+        }
         assert!(!b.try_spend(), "bucket empty");
-        b.refill(SimTime::from_secs(1.0)); // +2 tokens
-        assert!((b.available() - 2.0).abs() < 1e-12);
+        b.refill(SimTime::from_secs(1.0)); // one second of refill
+        assert!((b.tokens - BUDGET_REFILL_PER_SEC).abs() < 1e-12);
         assert!(b.try_spend());
         b.refill(SimTime::from_secs(100.0));
-        assert!((b.available() - 4.0).abs() < 1e-12, "capped at capacity");
+        assert!(
+            (b.tokens - BUDGET_CAPACITY).abs() < 1e-12,
+            "capped at capacity"
+        );
         // Refill never runs the clock backwards.
         b.refill(SimTime::from_secs(50.0));
-        assert!((b.available() - 4.0).abs() < 1e-12);
+        assert!((b.tokens - BUDGET_CAPACITY).abs() < 1e-12);
+    }
+
+    /// The budget hedges and failover share: hedging stops at the
+    /// reserve, failover re-admissions spend the reserve down to zero,
+    /// and a dry bucket then defers them until refill.
+    #[test]
+    fn hedges_stop_at_the_reserve_and_failover_spends_the_rest() {
+        let mut eng = HedgeEngine::new(HedgeConfig::default());
+        let signals = [
+            sig(0, 0, HealthState::Degraded), // primary
+            sig(0, 0, HealthState::Healthy),
+        ];
+        let now = SimTime::ZERO;
+        let mut hedges = 0;
+        while eng.hedge_target(&signals, 0, None, now) == Some(1) {
+            hedges += 1;
+        }
+        // The last hedge took the bucket just under the reserve.
+        assert!((eng.budget.tokens - (MIN_BUDGET_FOR_HEDGE - 1.0)).abs() < 1e-12);
+        assert_eq!(eng.overload.budget_spent_hedge, hedges);
+        assert_eq!(eng.stats.suppressed_budget, 1);
+        let mut placed = 0;
+        while eng.spend_for_failover(now) {
+            placed += 1;
+        }
+        assert_eq!((hedges + placed) as f64, BUDGET_CAPACITY);
+        assert_eq!(eng.overload.budget_spent_failover, placed);
+        assert_eq!(eng.overload.failover_deferred, 1);
+        assert!(!eng.spend_for_failover(now), "a dry bucket defers again");
+        assert_eq!(eng.overload.failover_deferred, 2);
+        // Refill re-admits failover before hedging re-arms.
+        let later = SimTime::from_secs(1.0);
+        assert!(eng.spend_for_failover(later));
+        assert_eq!(eng.hedge_target(&signals, 0, None, later), None);
+        assert_eq!(eng.stats.suppressed_budget, 2);
     }
 
     #[test]
@@ -422,24 +484,20 @@ mod tests {
 
     #[test]
     fn runner_up_prefers_prefix_then_queue_and_respects_watermark() {
-        let eng = HedgeEngine::new(HedgeConfig {
-            hedge_queue_watermark: 4,
-            ..HedgeConfig::default()
-        });
         let signals = vec![
             sig(0, 0, HealthState::Degraded), // primary
             sig(2, 500, HealthState::Healthy),
             sig(1, 500, HealthState::Healthy), // same hit, shallower
             sig(0, 0, HealthState::Healthy),
-            sig(9, 900, HealthState::Healthy), // best hit but over watermark
+            sig(HEDGE_QUEUE_WATERMARK, 900, HealthState::Healthy), // best hit but over watermark
         ];
-        assert_eq!(eng.pick_runner_up(&signals, 0), Some(2));
+        assert_eq!(pick_runner_up(&signals, 0), Some(2));
         // An ejected runner-up is never picked.
         let mut gated = signals.clone();
         for s in gated.iter_mut().skip(1) {
             s.health = HealthState::Ejected;
         }
-        assert_eq!(eng.pick_runner_up(&gated, 0), None);
+        assert_eq!(pick_runner_up(&gated, 0), None);
     }
 
     #[test]

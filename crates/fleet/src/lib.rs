@@ -47,7 +47,7 @@
 //! assert_eq!(report.total(), 0);
 //! ```
 
-use simcore::{SimDuration, SimTime};
+use simcore::SimTime;
 
 use kvcache::Block;
 use serving::{CancelOutcome, Driver, Instance, Report, ReqId, Scheduler, StepOutcome};
@@ -60,17 +60,17 @@ mod holders;
 mod replicate;
 mod router;
 
-pub use failover::{pick_migration_target, FailoverConfig, FailoverEngine, FailoverStats};
-pub use health::{
-    latency_exceeds, HealthConfig, HealthState, HealthStats, HealthTracker, LatencyEwma,
-    Observation,
-};
-pub use hedge::{
-    HedgeConfig, HedgeEngine, HedgePair, HedgeStats, OverloadStats, PairStatus, RetryBudget,
-};
+pub use failover::FailoverStats;
+pub use health::{HealthState, HealthStats};
+pub use hedge::{HedgeConfig, HedgeStats, OverloadStats};
 pub use holders::HolderIndex;
-pub use replicate::{HotPrefix, ReplicationConfig, ReplicationStats, Replicator};
+pub use replicate::{ReplicationConfig, ReplicationStats};
 pub use router::{Decision, InstanceSignals, PrefixAffinity, RoundRobin, RoutePolicy};
+
+use failover::{pick_migration_target, FailoverEngine};
+use health::Health;
+use hedge::{HedgeEngine, HedgePair, PairStatus};
+use replicate::Replicator;
 
 /// Which serving path an instance implements, for the router's
 /// per-request single-node-vs-split decision.
@@ -316,8 +316,7 @@ impl Scheduler for IdleSink {
 pub struct Fleet {
     members: Vec<FleetMember>,
     threads: usize,
-    health: HealthConfig,
-    failover: Option<FailoverConfig>,
+    failover: bool,
     replication: Option<ReplicationConfig>,
     hedging: Option<HedgeConfig>,
 }
@@ -329,14 +328,13 @@ impl Default for Fleet {
 }
 
 impl Fleet {
-    /// An empty, single-threaded fleet with failover on (default knobs)
-    /// and replication off.
+    /// An empty, single-threaded fleet with failover on and replication
+    /// off.
     pub fn new() -> Fleet {
         Fleet {
             members: Vec::new(),
             threads: 1,
-            health: HealthConfig::default(),
-            failover: Some(FailoverConfig::default()),
+            failover: true,
             replication: None,
             hedging: None,
         }
@@ -351,23 +349,11 @@ impl Fleet {
         self
     }
 
-    /// Overrides the per-member health-breaker knobs.
-    pub fn with_health(mut self, cfg: HealthConfig) -> Fleet {
-        self.health = cfg;
-        self
-    }
-
-    /// Overrides the failover knobs (failover is on by default).
-    pub fn with_failover(mut self, cfg: FailoverConfig) -> Fleet {
-        self.failover = Some(cfg);
-        self
-    }
-
     /// Disables cross-instance failover: ejected members keep their
     /// victims and shed them locally — the control arm of the chaos
     /// benchmark.
     pub fn without_failover(mut self) -> Fleet {
-        self.failover = None;
+        self.failover = false;
         self
     }
 
@@ -463,43 +449,23 @@ impl Fleet {
         let mut routing = RoutingStats::default();
         let mut probe = Probe::new(self.members.len());
 
-        // Fault-tolerance tier. Armed ONLY when some member schedules a
-        // fail-stop: on a crash-free plan the engine, replicator and
-        // health observations would all be provable no-ops, and skipping
-        // them entirely makes that proof trivial — the barrier sequence
-        // is then exactly the pre-failover one, byte-for-byte.
+        // Fault-tolerance tier. Failover and replication arm ONLY when
+        // some member schedules a fail-stop: on a crash-free plan they
+        // would be provable no-ops, and skipping them entirely makes that
+        // proof trivial — the barrier sequence is then exactly the
+        // pre-failover one, byte-for-byte.
         let fail_horizon = self
             .members
             .iter()
             .filter_map(|m| m.instance.fault_horizon())
             .max();
-        let mut trackers: Vec<HealthTracker> = self
-            .members
-            .iter()
-            .map(|_| HealthTracker::new(self.health))
-            .collect();
-        let mut states: Vec<HealthState> = vec![HealthState::Healthy; self.members.len()];
-        let mut health_stats = HealthStats::default();
-        let mut engine: Option<FailoverEngine> = match (self.failover, fail_horizon) {
-            (Some(cfg), Some(horizon)) => {
-                // Patrol long enough to see the last crash through the
-                // full eject → drain → retry-backoff chain.
-                let chain = cfg
-                    .backoff
-                    .as_nanos()
-                    .saturating_mul(1u64 << (cfg.retry_budget + 1).min(32));
-                let end = horizon
-                    .saturating_add(self.health.eject_after)
-                    .saturating_add(SimDuration::from_nanos(chain))
-                    .saturating_add(cfg.patrol * 4.0);
-                Some(FailoverEngine::new(cfg, end))
-            }
-            _ => None,
-        };
-        let mut replicator: Option<Replicator> = match (self.replication, fail_horizon) {
-            (Some(cfg), Some(_)) => Some(Replicator::new(cfg)),
-            _ => None,
-        };
+        let mut engine = fail_horizon
+            .filter(|_| self.failover)
+            .map(FailoverEngine::new);
+        let mut replicator = self
+            .replication
+            .filter(|_| fail_horizon.is_some())
+            .map(Replicator::new);
         // Gray tier: latency-aware health plus hedged dispatch. Armed on
         // ANY scheduled fault — not just fail-stops — because gray
         // failures (latency spikes, degraded links) never kill a GPU,
@@ -507,23 +473,11 @@ impl Fleet {
         // Unarmed runs skip the sampling and the extra barrier source
         // entirely, so fault-free replays stay byte-identical.
         let gray_armed = self.members.iter().any(|m| m.instance.has_fault_plan());
-        let mut ewmas: Vec<LatencyEwma> = self
-            .members
-            .iter()
-            .map(|_| LatencyEwma::new(self.health.ewma_alpha))
-            .collect();
-        let mut exceeds: Vec<bool> = vec![false; self.members.len()];
-        let mut hedger: Option<HedgeEngine> = match (self.hedging, gray_armed) {
-            (Some(cfg), true) => Some(HedgeEngine::new(cfg)),
-            _ => None,
-        };
-        // The shared retry budget exists only alongside hedging: plain
+        let mut health = Health::new(self.members.len(), gray_armed);
+        // The shared retry budget lives in the hedge engine: plain
         // failover keeps its own per-victim retry counter, so PR-8-style
         // crash runs without hedging are bit-for-bit unchanged.
-        let mut budget: Option<RetryBudget> = hedger.as_ref().map(|h| {
-            RetryBudget::new(h.config().budget_capacity, h.config().budget_refill_per_sec)
-        });
-        let mut overload = OverloadStats::default();
+        let mut hedger = self.hedging.filter(|_| gray_armed).map(HedgeEngine::new);
 
         let mut i = 0;
         let mut b = 0;
@@ -544,58 +498,32 @@ impl Fleet {
             // and patrol barriers — never at extras-only instants, so
             // injected no-op barriers stay strict no-ops.
             if t_arrival == Some(t) || t_fleet == Some(t) {
-                // Latency evidence is sampled only at these barriers:
-                // batch means over the finished-request deltas since the
-                // previous sample, folded into per-member EWMAs, then
-                // compared against the fleet median. Reading cumulative
-                // totals at settled instants keeps the fold independent
-                // of stepping order and thread count.
-                if gray_armed {
-                    for (idx, m) in self.members.iter().enumerate() {
-                        ewmas[idx].sample(m.instance.finished_latency());
-                    }
-                    exceeds = latency_exceeds(&ewmas, self.health.gray_exceed_ratio);
-                }
-                for (idx, m) in self.members.iter().enumerate() {
-                    let obs = Observation {
-                        dead_gpus: m.instance.dead_gpus(),
-                        severe_fault: m.instance.in_severe_fault(),
-                        permanent_crash: m.instance.permanently_crashed(),
-                        gray_fault: gray_armed && m.instance.in_gray_fault(),
-                        latency_exceed: exceeds[idx],
-                    };
-                    states[idx] = trackers[idx].observe(t, obs, &mut health_stats);
-                }
+                health.observe(t, &self.members);
                 if let Some(eng) = engine.as_mut() {
                     eng.advance_patrol(t);
-                    self.drain_ejected(eng, &states, t);
+                    self.drain_ejected(eng, &health, t);
                     for victim in eng.take_due(t) {
-                        probe.collect(&mut self.members, &victim.spec, &states);
-                        match pick_migration_target(&probe.signals) {
-                            Some(target) => {
-                                // Re-admissions draw on the shared retry
-                                // budget when one exists; a dry bucket
-                                // defers the victim to its next backoff
-                                // slot instead of piling retries onto an
-                                // already-stressed fleet.
-                                if let Some(bud) = budget.as_mut() {
-                                    bud.refill(t);
-                                    if !bud.try_spend() {
-                                        overload.failover_deferred += 1;
-                                        eng.no_target(victim, t);
-                                        continue;
-                                    }
-                                    overload.budget_spent_failover += 1;
-                                }
-                                let hit = probe.signals[target].prefix_hit_tokens;
-                                let mut spec = victim.spec.clone();
-                                spec.arrival = t;
-                                let local = self.members[target].admit(spec);
-                                routed[target] += 1;
-                                eng.placed(&victim, target, local, hit, t);
-                            }
-                            None => eng.no_target(victim, t),
+                        probe.collect(&mut self.members, &victim.spec, &health);
+                        let Some(target) = pick_migration_target(&probe.signals, |_, _| true)
+                        else {
+                            eng.no_target(victim, t);
+                            continue;
+                        };
+                        // Re-admissions draw on the shared retry budget
+                        // when hedging is armed; a dry bucket sends the
+                        // victim back to its next backoff slot, burning
+                        // an attempt, instead of piling retries onto an
+                        // already-stressed fleet.
+                        if hedger.as_mut().is_some_and(|h| !h.spend_for_failover(t)) {
+                            eng.no_target(victim, t);
+                            continue;
                         }
+                        let hit = probe.signals[target].prefix_hit_tokens;
+                        let mut spec = victim.spec.clone();
+                        spec.arrival = t;
+                        let local = self.members[target].admit(spec);
+                        routed[target] += 1;
+                        eng.placed(&victim, target, local, hit, t);
                     }
                 }
             }
@@ -614,15 +542,15 @@ impl Fleet {
             let mut sweep_due = false;
             while i < trace.len() && trace[i].arrival == t {
                 let spec = &trace[i];
-                probe.collect(&mut self.members, spec, &states);
+                probe.collect(&mut self.members, spec, &health);
                 let signals = &probe.signals;
                 // Ingress watermark: when every routable member is over
                 // the line, queueing one more first copy only deepens
                 // the overload — shed it here, before it costs anyone
                 // KV or a queue slot.
-                if let Some(h) = hedger.as_ref() {
+                if let Some(h) = hedger.as_mut() {
                     if h.ingress_overloaded(signals) {
-                        overload.ingress_shed += 1;
+                        h.overload.ingress_shed += 1;
                         i += 1;
                         continue;
                     }
@@ -648,40 +576,24 @@ impl Fleet {
                 // admitted load on its member; the pair race is settled
                 // at the next resolution barrier.
                 if let Some(h) = hedger.as_mut() {
-                    if h.should_hedge(&signals[decision.instance], ewmas[decision.instance].ttft())
-                    {
-                        let bud = budget
-                            .as_mut()
-                            .expect("budget exists whenever hedging does");
-                        bud.refill(t);
-                        if bud.available() < h.config().min_budget_for_hedge {
-                            h.stats.suppressed_budget += 1;
-                        } else {
-                            match h.pick_runner_up(signals, decision.instance) {
-                                Some(ru) => {
-                                    let spent = bud.try_spend();
-                                    debug_assert!(spent, "reserve check guarantees a token");
-                                    overload.budget_spent_hedge += 1;
-                                    let hedge_local = self.members[ru].admit(spec.clone());
-                                    routed[ru] += 1;
-                                    h.launched(
-                                        HedgePair {
-                                            primary: (decision.instance, primary_local),
-                                            hedge: (ru, hedge_local),
-                                        },
-                                        t,
-                                    );
-                                }
-                                None => h.stats.suppressed_no_target += 1,
-                            }
-                        }
+                    let ttft = health.ttft(decision.instance);
+                    if let Some(ru) = h.hedge_target(signals, decision.instance, ttft, t) {
+                        let hedge_local = self.members[ru].admit(spec.clone());
+                        routed[ru] += 1;
+                        h.launched(
+                            HedgePair {
+                                primary: (decision.instance, primary_local),
+                                hedge: (ru, hedge_local),
+                            },
+                            t,
+                        );
                     }
                 }
                 i += 1;
             }
             if sweep_due {
                 if let Some(rep) = replicator.as_mut() {
-                    self.replicate_sweep(rep, &mut probe, &states, t);
+                    self.replicate_sweep(rep, &mut probe, &health, t);
                 }
             }
             while b < extra_barriers.len() && extra_barriers[b] <= t {
@@ -735,9 +647,9 @@ impl Fleet {
             routing,
             failover: failover_stats,
             replication: replicator.map(|r| r.stats).unwrap_or_default(),
-            health: health_stats,
+            health: health.stats,
             hedge: hedger.as_ref().map(|h| h.stats).unwrap_or_default(),
-            overload,
+            overload: hedger.map(|h| h.overload).unwrap_or_default(),
         };
         for mut m in self.members {
             let (rep, events) = m.instance.finish(m.scheduler.as_mut());
@@ -754,15 +666,16 @@ impl Fleet {
     /// drained off permanently crashed members — on a transient crash
     /// the local copy will run again, and draining it would double-run
     /// the request.
-    fn drain_ejected(&mut self, eng: &mut FailoverEngine, states: &[HealthState], now: SimTime) {
+    fn drain_ejected(&mut self, eng: &mut FailoverEngine, health: &Health, now: SimTime) {
+        let admits = |idx: usize| health.state(idx).admits_traffic();
         let escape_exists = |members: &[FleetMember], idx: usize| {
             members
                 .iter()
                 .enumerate()
-                .any(|(j, m)| j != idx && states[j].admits_traffic() && m.instance.dead_gpus() == 0)
+                .any(|(j, m)| j != idx && admits(j) && m.instance.dead_gpus() == 0)
         };
-        for (idx, state) in states.iter().enumerate() {
-            if state.admits_traffic() || !escape_exists(&self.members, idx) {
+        for idx in 0..self.members.len() {
+            if admits(idx) || !escape_exists(&self.members, idx) {
                 continue;
             }
             let member = &mut self.members[idx];
@@ -793,7 +706,7 @@ impl Fleet {
         &mut self,
         rep: &mut Replicator,
         probe: &mut Probe,
-        states: &[HealthState],
+        health: &Health,
         now: SimTime,
     ) {
         let factor = rep.config().factor;
@@ -845,7 +758,7 @@ impl Fleet {
                 if holders >= factor {
                     break;
                 }
-                if !states[j].admits_traffic() || self.members[j].instance.dead_gpus() > 0 {
+                if !health.state(j).admits_traffic() || self.members[j].instance.dead_gpus() > 0 {
                     continue;
                 }
                 if candidates.contains(&j) {
@@ -963,7 +876,7 @@ impl Probe {
     /// member's probe would return 0, which is what it gets.
     // simlint: barrier
     // simlint: hot
-    fn collect(&mut self, members: &mut [FleetMember], spec: &RequestSpec, states: &[HealthState]) {
+    fn collect(&mut self, members: &mut [FleetMember], spec: &RequestSpec, health: &Health) {
         self.refresh(members);
         self.signals.clear();
         self.blocks_by_size.clear();
@@ -977,7 +890,7 @@ impl Probe {
                 prefix_hit_tokens: 0,
                 input_tokens,
                 healthy: m.instance.dead_gpus() == 0,
-                health: states[idx],
+                health: health.state(idx),
                 class: m.class,
             });
         }
@@ -1041,7 +954,7 @@ mod tests {
     use serving::{
         CrashVictim, FaultKind, FaultPlan, LeaseTable, RecoveryClass, ReqId, ServeCtx, SloSpec,
     };
-    use simcore::SimRng;
+    use simcore::{SimDuration, SimRng};
     use workload::{generate_fleet_stream, ContentSpec, WorkloadKind};
 
     /// A miniature engine with a real lease table: prefill kernel sized
@@ -1328,6 +1241,17 @@ mod tests {
         assert_eq!(report.finished() + report.shed(), report.total());
         assert_eq!(report.leaked_leases(), 0);
         assert_eq!(report.routed, vec![2, 3], "migration lands on member 1");
+        // Armed hedging that never fires still meters the migration
+        // through the shared retry budget.
+        let metered = failover_fleet(1)
+            .with_hedging(HedgeConfig::untriggerable())
+            .run(&failover_trace(), &mut RoundRobin::new());
+        assert_eq!(metered.failover, report.failover);
+        assert!(metered.overload.budget_spent_failover > 0);
+        assert_eq!(
+            metered.overload.budget_spent_failover,
+            metered.failover.migrated
+        );
     }
 
     #[test]
@@ -1451,8 +1375,6 @@ mod tests {
         let trace = trace(3);
         let plain = mini_fleet(3, 1).run(&trace, &mut PrefixAffinity::default());
         let configured = mini_fleet(3, 1)
-            .with_health(HealthConfig::default())
-            .with_failover(FailoverConfig::default())
             .with_replication(ReplicationConfig::default())
             .with_hedging(HedgeConfig::default())
             .run(&trace, &mut PrefixAffinity::default());

@@ -66,33 +66,33 @@ pub struct ReplicationStats {
 /// One tracked hot prefix: the latest (longest-context) block streams
 /// recorded for a session, per pool block size.
 #[derive(Debug, Clone)]
-pub struct HotPrefix {
+pub(crate) struct HotPrefix {
     /// Turns observed for the session.
-    pub hits: u64,
+    pub(crate) hits: u64,
     /// Member the last turn was routed to (the export origin).
-    pub origin: usize,
+    pub(crate) origin: usize,
     /// The request's block streams, keyed by pool block size — exactly
     /// what `collect_signals` computed for the routing probe.
-    pub blocks_by_size: Vec<(u32, Vec<Block>)>,
+    pub(crate) blocks_by_size: Vec<(u32, Vec<Block>)>,
     /// The recorded context length in tokens.
-    pub input_tokens: u64,
+    pub(crate) input_tokens: u64,
 }
 
 /// Session-heat tracker plus sweep cadence. The fleet owns the actual
 /// export/import (it holds the members); this type only decides *what*
 /// is hot and *when* to sweep, deterministically.
 #[derive(Debug)]
-pub struct Replicator {
+pub(crate) struct Replicator {
     cfg: ReplicationConfig,
     hot: BTreeMap<u64, HotPrefix>,
     since_sweep: u64,
     /// Aggregate outcomes.
-    pub stats: ReplicationStats,
+    pub(crate) stats: ReplicationStats,
 }
 
 impl Replicator {
     /// An empty tracker.
-    pub fn new(cfg: ReplicationConfig) -> Replicator {
+    pub(crate) fn new(cfg: ReplicationConfig) -> Replicator {
         Replicator {
             cfg,
             hot: BTreeMap::new(),
@@ -102,7 +102,7 @@ impl Replicator {
     }
 
     /// The configured knobs.
-    pub fn config(&self) -> &ReplicationConfig {
+    pub(crate) fn config(&self) -> &ReplicationConfig {
         &self.cfg
     }
 
@@ -111,7 +111,7 @@ impl Replicator {
     /// The streams are moved, not copied: when they become the payload,
     /// `blocks_by_size` gets the session's previous payload back, so each
     /// session holds one copy. Returns `true` when a sweep is due.
-    pub fn record(
+    pub(crate) fn record(
         &mut self,
         spec: &RequestSpec,
         blocks_by_size: &mut Vec<(u32, Vec<Block>)>,
@@ -142,7 +142,7 @@ impl Replicator {
 
     /// The top-K hot sessions by `(hits desc, session asc)` — a total
     /// order, so sweep targets replay identically.
-    pub fn hottest(&self) -> Vec<(u64, &HotPrefix)> {
+    pub(crate) fn hottest(&self) -> Vec<(u64, &HotPrefix)> {
         let mut all: Vec<(u64, &HotPrefix)> = self
             .hot
             .iter()

@@ -234,7 +234,7 @@ impl Instance {
     /// Cumulative finished-request latency totals
     /// ([`crate::MetricsRecorder::finished_latency`]): the fleet's
     /// latency-aware health EWMA reads this at merge barriers.
-    pub fn finished_latency(&self) -> (u64, f64, u64, f64) {
+    pub fn finished_latency(&self) -> (u64, f64) {
         self.ctx.metrics.finished_latency()
     }
 

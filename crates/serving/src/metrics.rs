@@ -27,8 +27,6 @@ pub struct MetricsRecorder {
     /// barriers and EWMA-folds the per-barrier deltas.
     fin_count: u64,
     fin_ttft_sum: f64,
-    fin_tbt_sum: f64,
-    fin_tbt_count: u64,
 }
 
 impl MetricsRecorder {
@@ -43,8 +41,6 @@ impl MetricsRecorder {
             last_tbt_violation_at: None,
             fin_count: 0,
             fin_ttft_sum: 0.0,
-            fin_tbt_sum: 0.0,
-            fin_tbt_count: 0,
         }
     }
 
@@ -130,7 +126,7 @@ impl MetricsRecorder {
     }
 
     /// Marks a request finished. `arrival` is the request's arrival
-    /// time, used to fold its TTFT/TBT into the cumulative
+    /// time, used to fold its TTFT into the cumulative
     /// finished-latency totals ([`MetricsRecorder::finished_latency`]).
     /// Cancelled hedge losers that run to completion still get a
     /// `finished_at` stamp (so in-flight accounting settles) but are
@@ -146,21 +142,14 @@ impl MetricsRecorder {
         if let Some(first) = r.first_token_at {
             self.fin_ttft_sum += (first - arrival).as_secs();
         }
-        self.fin_tbt_count += r.tbt_samples.len() as u64;
-        self.fin_tbt_sum += r.tbt_samples.iter().sum::<f64>();
     }
 
     /// Cumulative finished-request latency totals, in finish order:
-    /// `(finished count, TTFT sum secs, TBT sample count, TBT sum secs)`.
-    /// Monotone over a run; the fleet health layer diffs consecutive
-    /// barrier readings to get deterministic per-window batch means.
-    pub fn finished_latency(&self) -> (u64, f64, u64, f64) {
-        (
-            self.fin_count,
-            self.fin_ttft_sum,
-            self.fin_tbt_count,
-            self.fin_tbt_sum,
-        )
+    /// `(finished count, TTFT sum secs)`. Monotone over a run; the fleet
+    /// health layer diffs consecutive barrier readings to get
+    /// deterministic per-window batch means.
+    pub fn finished_latency(&self) -> (u64, f64) {
+        (self.fin_count, self.fin_ttft_sum)
     }
 
     /// Whether the request has finished.
@@ -575,20 +564,20 @@ mod tests {
     fn finished_latency_totals_accumulate_in_finish_order() {
         let mut m = MetricsRecorder::new(3);
         m.emit_tokens(0, SimTime::from_secs(0.4), 1);
-        m.emit_tokens(0, SimTime::from_secs(0.6), 1); // TBT 0.2
+        m.emit_tokens(0, SimTime::from_secs(0.6), 1);
         m.finish(0, SimTime::from_secs(0.6), SimTime::ZERO);
-        let (n, ttft, tbt_n, tbt) = m.finished_latency();
-        assert_eq!((n, tbt_n), (1, 1));
-        assert!((ttft - 0.4).abs() < 1e-9 && (tbt - 0.2).abs() < 1e-9);
+        let (n, ttft) = m.finished_latency();
+        assert_eq!(n, 1);
+        assert!((ttft - 0.4).abs() < 1e-9);
         // A cancelled loser's completion must not move the totals.
         m.emit_tokens(1, SimTime::from_secs(5.0), 1);
         m.mark_cancelled(1);
         m.finish(1, SimTime::from_secs(5.0), SimTime::ZERO);
-        assert_eq!(m.finished_latency(), (n, ttft, tbt_n, tbt));
+        assert_eq!(m.finished_latency(), (n, ttft));
         // A second real finish folds in.
         m.emit_tokens(2, SimTime::from_secs(1.0), 1);
         m.finish(2, SimTime::from_secs(1.0), SimTime::from_secs(0.5));
-        let (n2, ttft2, _, _) = m.finished_latency();
+        let (n2, ttft2) = m.finished_latency();
         assert_eq!(n2, 2);
         assert!((ttft2 - (ttft + 0.5)).abs() < 1e-9);
     }

@@ -4,6 +4,7 @@
 #
 # Fast paths while iterating:
 #   ./scripts/check.sh serving         # just the serving crate's tests
+#   ./scripts/check.sh fleet           # fleet crate + fleet integration tests, then simlint
 #   ./scripts/check.sh chaos-smoke     # fault-injection smoke grid only
 #   ./scripts/check.sh recovery-smoke  # GPU fail-stop crash/recover grid only
 #   ./scripts/check.sh lint            # simlint invariant pass only
@@ -18,6 +19,13 @@ cd "$(dirname "$0")/.."
 
 if [[ "${1:-}" == "serving" ]]; then
     cargo test -q -p serving
+    exit 0
+fi
+
+if [[ "${1:-}" == "fleet" ]]; then
+    cargo test -q -p fleet
+    cargo test -q -p integration-tests --test fleet
+    cargo run --release -q -p simlint
     exit 0
 fi
 

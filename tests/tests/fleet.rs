@@ -387,6 +387,11 @@ proptest! {
             base.failover
         );
         prop_assert_eq!(base.leaked_leases(), 0, "crash drain leaked KV leases");
+        if tiered {
+            // Armed hedging meters every migration through the shared
+            // retry budget.
+            prop_assert_eq!(base.overload.budget_spent_failover, base.failover.migrated);
+        }
         let threaded = make(threads).run(&trace, &mut PrefixAffinity::default());
         prop_assert_eq!(&base, &threaded, "thread count changed the failover run");
         let step = SimDuration::from_secs(barrier_ms as f64 / 1e3);

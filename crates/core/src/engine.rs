@@ -17,17 +17,9 @@ use simcore::{SimDuration, SimTime};
 
 use crate::config::{Estimators, MuxWiseConfig};
 
-/// What a kernel-completion tag refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tag {
-    /// One prefill layer (or whole-phase launch) of prefill job `gen`.
-    PrefillLayer { gen: u64 },
-}
-
-/// Reserved tag for decode-iteration kernels. Exactly one decode kernel
-/// is ever in flight, so its completion is recognized by value instead
-/// of a per-iteration `tags` map insert/remove. `next_tag` counts up
-/// from 1 and can never collide.
+/// Reserved tag for decode-iteration kernels. Every other kernel is a
+/// prefill layer (or whole-phase launch) tagged with its job's
+/// generation, which counts up from 1 and can never collide.
 const DECODE_TAG: u64 = u64::MAX;
 
 /// One request being prefilled.
@@ -119,9 +111,7 @@ pub struct MuxWise {
     resume_layers: HashMap<ReqId, u32>,
 
     host_busy_until: SimTime,
-    next_tag: u64,
     next_gen: u64,
-    tags: HashMap<u64, Tag>,
 
     /// Reused per-iteration scratch (hot-loop allocation freedom): the
     /// decode context slice handed to the cost model, eviction victims,
@@ -205,9 +195,7 @@ impl MuxWise {
             down: false,
             resume_layers: HashMap::new(),
             host_busy_until: SimTime::ZERO,
-            next_tag: 1,
             next_gen: 1,
-            tags: HashMap::new(),
             ctx_scratch: Vec::new(),
             victim_scratch: Vec::new(),
             retired_scratch: Vec::new(),
@@ -270,15 +258,6 @@ impl MuxWise {
     /// refinement as co-run iterations are observed).
     pub fn guard_cells(&self) -> usize {
         self.est.guard.num_cells()
-    }
-
-    // ---- tag helpers -------------------------------------------------------
-
-    fn alloc_tag(&mut self, tag: Tag) -> u64 {
-        let t = self.next_tag;
-        self.next_tag += 1;
-        self.tags.insert(t, tag);
-        t
     }
 
     /// Serializes host-side launch work; returns the kernel's ready time.
@@ -623,8 +602,7 @@ impl MuxWise {
                     // Fold the LM head into the final layer.
                     work = work.plus(&self.model.lm_head_work(batch.len() as f64, &self.par));
                 }
-                let tag = self.alloc_tag(Tag::PrefillLayer { gen });
-                ctx.gpu.submit(group, p_ctx, work, ready, tag);
+                ctx.gpu.submit(group, p_ctx, work, ready, gen);
             }
             self.prefill.as_mut().expect("checked").layers_inflight = n_pl;
         } else {
@@ -636,8 +614,7 @@ impl MuxWise {
             let ready = self.host_submit(now, launch_cost);
             let frac = remaining as f64 / self.model.num_layers as f64;
             let work = self.model.prefill_full_work(&batch, &self.par).scaled(frac);
-            let tag = self.alloc_tag(Tag::PrefillLayer { gen });
-            ctx.gpu.submit(group, p_ctx, work, ready, tag);
+            ctx.gpu.submit(group, p_ctx, work, ready, gen);
             let job = self.prefill.as_mut().expect("checked");
             job.layers_inflight = remaining;
             job.layers_done = self.model.num_layers - remaining;
@@ -935,9 +912,6 @@ impl MuxWise {
             self.prefill_ctx.expect("started"),
         );
         let cancelled = ctx.gpu.cancel_queued(group, p_ctx);
-        for (_, tag) in &cancelled {
-            self.tags.remove(tag);
-        }
         let mut job = self.prefill.take().expect("checked");
         job.layers_inflight -= cancelled.len() as u32;
         self.preempted = Some(job);
@@ -1024,19 +998,13 @@ impl Scheduler for MuxWise {
     }
 
     fn on_kernel_done(&mut self, tag: u64, ctx: &mut ServeCtx) {
-        if tag == DECODE_TAG {
-            // The reserved decode tag never enters the `tags` map. A
-            // stale decode completion (none exist today — crashes cancel
-            // in-flight kernels — but cheap to guard) is ignored exactly
-            // as a cleared map entry used to be.
-            if self.decode_inflight.is_some() {
-                self.on_decode_done(ctx);
-            }
-            return;
-        }
-        match self.tags.remove(&tag) {
-            Some(Tag::PrefillLayer { gen }) => self.on_prefill_layer_done(gen, ctx),
-            None => {}
+        // Any tag but the decode one is a prefill job's generation.
+        if tag != DECODE_TAG {
+            self.on_prefill_layer_done(tag, ctx);
+        } else if self.decode_inflight.is_some() {
+            // A stale decode completion (none exist today — crashes
+            // cancel in-flight kernels — but cheap to guard) is ignored.
+            self.on_decode_done(ctx);
         }
     }
 
@@ -1104,7 +1072,6 @@ impl Scheduler for MuxWise {
         // device-resident KV.
         self.macro_armed = false;
         self.down = true;
-        self.tags.clear();
         self.decode_inflight = None;
         self.decode_blocked = false;
         let table = self.table.as_mut().expect("table");

@@ -26,6 +26,21 @@
 //! configuration-dependent, hard-to-predict slowdowns of Fig. 11.
 //! Schedulers must discover this through profiling — the residual is not
 //! exposed.
+//!
+//! ## What a boundary costs
+//!
+//! The generic step ([`GpuSim::step_to_next_event`]) scans every group
+//! for the earliest start or completion. Two things keep the steady
+//! state cheaper than that scan without changing a single bit:
+//!
+//! * **Lone kernels.** When exactly one kernel exists — queued, with
+//!   nothing else queued or running anywhere, no link traffic and healthy
+//!   hardware — [`GpuSim::step_lone`] takes it through its start and
+//!   completion boundaries directly. It runs the same progress and retire
+//!   helpers as the generic boundary and counts the same two events.
+//! * **Per-context rates.** A context caches its decode, other and memory
+//!   rates when it is created or resized, so a submission computes its
+//!   solo profile without re-deriving them.
 
 use std::collections::VecDeque;
 
@@ -33,7 +48,7 @@ use simcore::{SimDuration, SimTime};
 
 use crate::link::{LinkId, Links, TransferId};
 use crate::spec::{ClusterSpec, GpuSpec};
-use crate::work::WorkItem;
+use crate::work::{KernelKind, WorkItem};
 
 /// Identifies a lockstep GPU group.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,9 +62,40 @@ pub struct CtxId(pub(crate) usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct KernelId(pub(crate) usize);
 
+/// Solo rates of one SM count: pure functions of `sms`, computed once
+/// per context size instead of once per submission.
+#[derive(Debug, Clone, Copy)]
+struct Rates {
+    /// FLOP/s of a decode kernel.
+    decode: f64,
+    /// FLOP/s of any other kernel kind.
+    other: f64,
+    /// Achievable HBM bytes/s.
+    mem: f64,
+}
+
+impl Rates {
+    fn of(spec: &GpuSpec, sms: u32) -> Rates {
+        Rates {
+            decode: spec.compute_rate_for(KernelKind::Decode, sms),
+            other: spec.compute_rate_for(KernelKind::Prefill, sms),
+            mem: spec.mem_rate(sms),
+        }
+    }
+
+    fn compute(&self, kind: KernelKind) -> f64 {
+        match kind {
+            KernelKind::Decode => self.decode,
+            _ => self.other,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Ctx {
     sms: u32,
+    /// [`Rates::of`] this context's `sms`, refreshed on every resize.
+    rates: Rates,
     queue: VecDeque<KernelId>,
     /// Contexts cannot run kernels before this (reconfiguration cost).
     available_at: SimTime,
@@ -269,6 +315,9 @@ pub struct GpuSim {
     /// Cached `dead.iter().any()` so the healthy hot path never scans
     /// the per-GPU vector (updated by fail/recover only).
     any_dead: bool,
+    /// Kernels queued or running across every group: the O(1) "is this
+    /// kernel alone" test of [`GpuSim::step_lone`].
+    live: usize,
     /// Boundary events processed (kernel starts/completions, link
     /// completions) — pure telemetry for throughput reporting; never
     /// feeds simulation state or replay-visible output.
@@ -300,6 +349,7 @@ impl GpuSim {
             speed_scratch: SpeedScratch::default(),
             dead: vec![false; num_gpus as usize],
             any_dead: false,
+            live: 0,
             events: 0,
         }
     }
@@ -390,6 +440,7 @@ impl GpuSim {
         );
         g.ctxs.push(Ctx {
             sms,
+            rates: Rates::of(&self.spec, sms),
             queue: VecDeque::new(),
             available_at: self.now + self.spec.reconfig_cost,
             created_at: self.now,
@@ -422,6 +473,7 @@ impl GpuSim {
         assert!(c.alive, "context removed");
         assert!(c.queue.is_empty(), "resizing a busy context");
         c.sms = sms;
+        c.rates = Rates::of(&self.spec, sms);
         c.available_at = self.now + self.spec.reconfig_cost;
         g.speeds_dirty = true;
     }
@@ -483,7 +535,9 @@ impl GpuSim {
         }
         let c = &g.ctxs[ctx.0];
         assert!(c.alive, "context removed");
-        let (solo_secs, bw_demand, comp_frac) = self.solo_profile(c.sms, &work);
+        let rates = &c.rates;
+        let (solo_secs, bw_demand, comp_frac) =
+            solo_profile(rates.compute(work.kind), rates.mem, &work);
         let id = self.kernels.next_id();
         self.kernels.push(Kernel {
             group,
@@ -499,6 +553,7 @@ impl GpuSim {
             remaining: 1.0,
         });
         self.groups[group.0].ctxs[ctx.0].queue.push_back(id);
+        self.live += 1;
         id
     }
 
@@ -506,21 +561,8 @@ impl GpuSim {
     /// context. This is what offline profiling of a solo run would
     /// measure; the estimator crate uses it to generate its training set.
     pub fn solo_duration(&self, sms: u32, work: &WorkItem) -> f64 {
-        self.solo_profile(sms, work).0
-    }
-
-    fn solo_profile(&self, sms: u32, work: &WorkItem) -> (f64, f64, f64) {
-        let t_comp = work.flops / self.spec.compute_rate_for(work.kind, sms);
-        let t_mem = work.bytes / self.spec.mem_rate(sms);
-        let roofline = t_comp.max(t_mem);
-        let solo = (roofline + work.fixed_secs).max(MIN_SOLO_SECS);
-        let bw_demand = work.bytes / solo;
-        let comp_frac = if roofline <= 0.0 {
-            0.0
-        } else {
-            (t_comp / solo).clamp(0.0, 1.0)
-        };
-        (solo, bw_demand, comp_frac)
+        let compute = self.spec.compute_rate_for(work.kind, sms);
+        solo_profile(compute, self.spec.mem_rate(sms), work).0
     }
 
     /// Cancels all **not-yet-started** kernels in a context's queue (GPU
@@ -540,6 +582,7 @@ impl GpuSim {
             }
         }
         *queue = keep;
+        self.live -= cancelled.len();
         cancelled
     }
 
@@ -787,12 +830,8 @@ impl GpuSim {
             } = g;
             for &(kid, speed) in speeds.iter() {
                 let k = kernels.get_mut(kid);
-                k.remaining = (k.remaining - speed * dt / k.solo_secs).max(0.0);
-                let ctx = k.ctx.0;
-                let sms = ctxs[ctx].sms;
-                let quality = 0.25 + 0.75 * k.comp_frac;
-                *util_accum += dt * (sms as f64 / sm_total) * quality;
-                ctxs[ctx].busy += dt_dur;
+                let c = &mut ctxs[k.ctx.0];
+                progress_kernel(k, c, util_accum, speed, dt, dt_dur, sm_total);
             }
         }
     }
@@ -803,6 +842,7 @@ impl GpuSim {
             kernels,
             groups,
             completed,
+            live,
             ..
         } = self;
         for g in groups.iter_mut() {
@@ -818,14 +858,10 @@ impl GpuSim {
                 }
                 while let Some(&head) = c.queue.front() {
                     let k = kernels.get_mut(head);
-                    if k.state == KernelState::Running
-                        && (k.remaining <= DONE_EPS || k.remaining * k.solo_secs <= 1e-10)
-                    {
-                        k.state = KernelState::Done;
-                        k.remaining = 0.0;
-                        completed.push((head, k.tag));
-                        c.queue.pop_front();
+                    if k.state == KernelState::Running && is_complete(k.remaining, k.solo_secs) {
+                        completed.push((head, retire_head(k, c)));
                         *speeds_dirty = true;
+                        *live -= 1;
                     } else {
                         break;
                     }
@@ -833,6 +869,100 @@ impl GpuSim {
             }
         }
         kernels.compact();
+    }
+
+    /// Steps the simulator's only kernel through its start and completion
+    /// boundaries without scanning, and returns its tag; the time reached
+    /// is [`GpuSim::now`]. The result equals two
+    /// [`GpuSim::step_to_next_event`] calls — the same progress and
+    /// retire arithmetic, two counted events, compaction at both
+    /// boundaries — so a caller may use it wherever it would have made
+    /// those two calls and drained one completion.
+    ///
+    /// Returns `None`, changing nothing, unless all of these hold:
+    ///
+    /// * exactly one kernel exists, and it is a queued head;
+    /// * no link transfer is in flight or awaits a drain;
+    /// * no kernel completion awaits a drain;
+    /// * no degradation is active;
+    /// * the kernel completes at or before `limit`.
+    // simlint: hot
+    pub fn step_lone(&mut self, limit: SimTime) -> Option<u64> {
+        if self.live != 1
+            || self.degrade.active
+            || !self.completed.is_empty()
+            || self.links.next_completion().is_some()
+            || self.links.has_completed()
+        {
+            return None;
+        }
+        // The only live kernel is queued; the last submission is it
+        // unless it already retired (then decline: rare, and the generic
+        // scan finds the one left).
+        let kid = KernelId(self.kernels.next_id().0 - 1);
+        let k = self.kernels.get(kid);
+        if k.state != KernelState::Queued {
+            return None;
+        }
+        let (gi, ci) = (k.group.0, k.ctx.0);
+        let c = &self.groups[gi].ctxs[ci];
+        let start = k.ready_at.max(c.available_at).max(self.now);
+        let speed = lone_speed(k, hbm_capacity(&self.spec), c.rates.mem);
+        let end = start + completion_dt(k.remaining, k.solo_secs, speed);
+        if end > limit {
+            return None;
+        }
+        let dt = (end - start).as_secs();
+        if !is_complete(remaining_after(k, speed, dt), k.solo_secs) {
+            return None;
+        }
+        let sm_total = self.spec.sm_count as f64;
+        let GpuSim {
+            kernels,
+            groups,
+            now,
+            events,
+            live,
+            ..
+        } = self;
+        // Start boundary. Nothing else runs, so nothing progresses up to
+        // it. The group's cached speeds may still list the kernel that
+        // completed last: install what a rebuild yields once this kernel
+        // runs, so nothing credits that kernel for the idle gap.
+        *now = start;
+        *events += 1;
+        kernels.compact();
+        let g = &mut groups[gi];
+        let k = kernels.get_mut(kid);
+        k.state = KernelState::Running;
+        k.started_at = start;
+        g.speeds.clear();
+        g.speeds.push((kid, speed));
+        g.speeds_dirty = false;
+        // Completion boundary.
+        let Group {
+            ctxs,
+            util_accum,
+            speeds_dirty,
+            ..
+        } = g;
+        let c = &mut ctxs[ci];
+        progress_kernel(
+            k,
+            c,
+            util_accum,
+            speed,
+            dt,
+            SimDuration::from_secs(dt),
+            sm_total,
+        );
+        *now = end;
+        *events += 1;
+        let tag = retire_head(k, c);
+        *speeds_dirty = true;
+        *live -= 1;
+        kernels.compact();
+        Some(tag)
     }
 
     /// Rebuilds the speed cache of every live group whose running set may
@@ -947,6 +1077,7 @@ impl GpuSim {
                 }
             }
         }
+        self.live -= cancelled.len();
         cancelled
     }
 
@@ -1049,11 +1180,110 @@ impl GpuSim {
     }
 }
 
+/// `(solo seconds, bandwidth demand, compute fraction)` of `work` on a
+/// context whose compute rate for `work.kind` is `compute` FLOP/s and
+/// whose memory rate is `mem` bytes/s.
+fn solo_profile(compute: f64, mem: f64, work: &WorkItem) -> (f64, f64, f64) {
+    let t_comp = work.flops / compute;
+    let t_mem = work.bytes / mem;
+    let roofline = t_comp.max(t_mem);
+    let solo = (roofline + work.fixed_secs).max(MIN_SOLO_SECS);
+    let bw_demand = work.bytes / solo;
+    let comp_frac = if roofline <= 0.0 {
+        0.0
+    } else {
+        (t_comp / solo).clamp(0.0, 1.0)
+    };
+    (solo, bw_demand, comp_frac)
+}
+
+/// A group's healthy HBM capacity, bytes/s per GPU.
+// simlint: hot
+#[inline]
+fn hbm_capacity(spec: &GpuSpec) -> f64 {
+    spec.hbm_bw_gbs * 1e9 * spec.mem_efficiency
+}
+
 /// Time until a running kernel completes at the given speed, floored at
 /// 1 ns so simulated time always makes progress.
 fn completion_dt(remaining: f64, solo_secs: f64, speed: f64) -> SimDuration {
     let dt = remaining * solo_secs / speed.max(1e-12);
     SimDuration::from_nanos(((dt * 1e9).ceil() as u64).max(1))
+}
+
+/// The remaining-work fraction after running `dt` seconds at `speed`.
+// simlint: hot
+#[inline]
+fn remaining_after(k: &Kernel, speed: f64, dt: f64) -> f64 {
+    (k.remaining - speed * dt / k.solo_secs).max(0.0)
+}
+
+/// Whether a kernel with `remaining` work left counts as complete.
+// simlint: hot
+#[inline]
+fn is_complete(remaining: f64, solo_secs: f64) -> bool {
+    remaining <= DONE_EPS || remaining * solo_secs <= 1e-10
+}
+
+/// Runs one kernel for `dt` seconds at `speed`: its remaining work, its
+/// group's utilization integral and its context's busy time. `dt_dur` is
+/// `dt` as a duration, converted once per boundary by the caller.
+// simlint: hot
+#[inline]
+fn progress_kernel(
+    k: &mut Kernel,
+    c: &mut Ctx,
+    util_accum: &mut f64,
+    speed: f64,
+    dt: f64,
+    dt_dur: SimDuration,
+    sm_total: f64,
+) {
+    k.remaining = remaining_after(k, speed, dt);
+    let quality = 0.25 + 0.75 * k.comp_frac;
+    *util_accum += dt * (c.sms as f64 / sm_total) * quality;
+    c.busy += dt_dur;
+}
+
+/// Retires a completed head kernel: marks it done and pops it off its
+/// context's queue. Returns its tag. The caller records the completion,
+/// invalidates the group's speeds and drops the live count.
+// simlint: hot
+#[inline]
+fn retire_head(k: &mut Kernel, c: &mut Ctx) -> u64 {
+    k.state = KernelState::Done;
+    k.remaining = 0.0;
+    c.queue.pop_front();
+    k.tag
+}
+
+/// Speed of a lone running kernel on healthy hardware, given the
+/// group's HBM `capacity` and the kernel's SM `weight` (its context's
+/// memory rate). Its grant is what water-filling over a single entry
+/// yields — the full demand when it fits, otherwise the capacity scaled
+/// by its own weight share — and a single kernel has zero interference
+/// residual, so the generic machinery reduces to exactly these float
+/// ops.
+// simlint: hot
+#[inline]
+fn lone_speed(k: &Kernel, capacity: f64, weight: f64) -> f64 {
+    let mem_speed = if k.bw_demand <= 0.0 {
+        1.0
+    } else {
+        let grant = if k.bw_demand <= capacity {
+            k.bw_demand
+        } else {
+            let share = capacity * weight / weight;
+            if k.bw_demand <= share {
+                k.bw_demand
+            } else {
+                share
+            }
+        };
+        (grant / k.bw_demand).min(1.0)
+    };
+    let speed = mem_speed / (1.0 + 0.0);
+    speed.clamp(1e-12, 1.0)
 }
 
 /// Speeds (fraction of solo rate) for every running kernel in a group,
@@ -1103,36 +1333,15 @@ fn compute_group_speeds_into(
     } else {
         (1.0, 1.0)
     };
-    let mut capacity = spec.hbm_bw_gbs * 1e9 * spec.mem_efficiency;
+    let mut capacity = hbm_capacity(spec);
     if degrade.active {
         capacity *= mem_factor;
     }
     if running.len() == 1 && !degrade.active {
-        // A lone healthy kernel — the decode steady state. Its grant is
-        // what water-filling over a single entry yields (the full demand
-        // when it fits, otherwise the capacity scaled by its own weight
-        // share), and a single kernel has zero interference residual, so
-        // the generic machinery below reduces to exactly these float ops.
+        // A lone healthy kernel — the decode steady state.
         let kid = running[0];
         let k = kernels.get(kid);
-        let mem_speed = if k.bw_demand <= 0.0 {
-            1.0
-        } else {
-            let grant = if k.bw_demand <= capacity {
-                k.bw_demand
-            } else {
-                let w = spec.mem_rate(ctxs[k.ctx.0].sms);
-                let share = capacity * w / w;
-                if k.bw_demand <= share {
-                    k.bw_demand
-                } else {
-                    share
-                }
-            };
-            (grant / k.bw_demand).min(1.0)
-        };
-        let speed = mem_speed / (1.0 + 0.0);
-        out.push((kid, speed.clamp(1e-12, 1.0)));
+        out.push((kid, lone_speed(k, capacity, ctxs[k.ctx.0].rates.mem)));
         return;
     }
     demands.clear();
@@ -1140,7 +1349,7 @@ fn compute_group_speeds_into(
     for &kid in running.iter() {
         let k = kernels.get(kid);
         demands.push(k.bw_demand);
-        weights.push(spec.mem_rate(ctxs[k.ctx.0].sms));
+        weights.push(ctxs[k.ctx.0].rates.mem);
     }
     waterfill_into(demands, weights, capacity, grants, satisfied);
 
@@ -1177,7 +1386,7 @@ fn interference_residual_of(
         return 0.0;
     }
     let k = kernels.get(kid);
-    let capacity = spec.hbm_bw_gbs * 1e9 * spec.mem_efficiency;
+    let capacity = hbm_capacity(spec);
     let mut pressure = 0.0;
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mix = |v: u64, h: &mut u64| {
@@ -1686,5 +1895,149 @@ mod tests {
             s.advance_to(SimTime::from_secs(0.5));
         }));
         assert!(r.is_err());
+    }
+
+    /// A one-GPU simulator with a decode and a prefill context.
+    fn lone_sim() -> (GpuSim, GroupId, CtxId, CtxId) {
+        let mut s = sim();
+        let g = s.create_group(vec![0]);
+        let d = s.set_context(g, 32);
+        let p = s.set_context(g, 76);
+        (s, g, d, p)
+    }
+
+    fn decode_work() -> WorkItem {
+        WorkItem::new(KernelKind::Decode, 0.4e12, 12.0e9, 2e-4)
+    }
+
+    /// Everything `step_lone` must leave exactly as two generic steps do.
+    fn lone_state(s: &GpuSim, g: GroupId, d: CtxId, p: CtxId) -> (SimTime, u64, u64, u64, u64) {
+        (
+            s.now(),
+            s.events_processed(),
+            s.utilization(g).to_bits(),
+            s.ctx_busy_ratio(g, d).to_bits(),
+            s.ctx_busy_ratio(g, p).to_bits(),
+        )
+    }
+
+    /// Runs a kernel to completion with generic steps; returns its tag.
+    fn generic_complete(s: &mut GpuSim) -> u64 {
+        loop {
+            s.step_to_next_event(SimTime::MAX).expect("a pending event");
+            if let Some(&(_, tag)) = s.drain_completed().first() {
+                return tag;
+            }
+        }
+    }
+
+    #[test]
+    fn step_lone_equals_two_generic_steps_including_after_a_completion() {
+        let (mut lone, g, d, p) = lone_sim();
+        let (mut generic, ..) = lone_sim();
+        // A prefill kernel completes first, leaving the group's speed
+        // cache stale for the next boundary; then a lone decode after
+        // an idle gap, then a co-run that the stale cache would skew.
+        for s in [&mut lone, &mut generic] {
+            let w = WorkItem::new(KernelKind::Prefill, 2.0e12, 1.0e9, 0.0);
+            s.submit(g, p, w, SimTime::ZERO, 1);
+            assert_eq!(generic_complete(s), 1);
+            let at = s.now() + SimDuration::from_millis(3.0);
+            s.submit(g, d, decode_work(), at, 2);
+        }
+        assert_eq!(lone.step_lone(SimTime::MAX), Some(2));
+        assert_eq!(generic_complete(&mut generic), 2);
+        assert_eq!(lone_state(&lone, g, d, p), lone_state(&generic, g, d, p));
+        for s in [&mut lone, &mut generic] {
+            let at = s.now() + SimDuration::from_millis(1.0);
+            s.submit(g, d, decode_work(), at, 3);
+            let w = WorkItem::new(KernelKind::Prefill, 5.0e12, 4.0e9, 0.0);
+            s.submit(g, p, w, at, 4);
+            while s.next_event_time().is_some() {
+                s.step_to_next_event(SimTime::MAX);
+                s.drain_completed();
+            }
+        }
+        assert_eq!(lone_state(&lone, g, d, p), lone_state(&generic, g, d, p));
+        let w = decode_work();
+        assert_eq!(
+            lone.submit(g, d, w, SimTime::ZERO, 5),
+            generic.submit(g, d, w, SimTime::ZERO, 5),
+            "kernel ids must not move"
+        );
+    }
+
+    #[test]
+    fn step_lone_honors_an_inclusive_limit() {
+        let (mut probe, g, d, _) = lone_sim();
+        probe.submit(g, d, decode_work(), SimTime::ZERO, 7);
+        assert_eq!(probe.step_lone(SimTime::MAX), Some(7));
+        let end = probe.now();
+
+        let (mut s, g, d, p) = lone_sim();
+        s.submit(g, d, decode_work(), SimTime::ZERO, 7);
+        let before = lone_state(&s, g, d, p);
+        assert_eq!(s.step_lone(end - SimDuration::from_nanos(1)), None);
+        assert_eq!(lone_state(&s, g, d, p), before, "a refusal changes nothing");
+        assert_eq!(s.step_lone(end), Some(7));
+        assert_eq!(s.now(), end);
+        assert_eq!(s.events_processed(), 2);
+    }
+
+    #[test]
+    fn step_lone_refuses_anything_but_a_lone_queued_kernel() {
+        // A second queued kernel, on either context.
+        let (mut s, g, d, p) = lone_sim();
+        s.submit(g, d, decode_work(), SimTime::ZERO, 1);
+        s.submit(g, p, decode_work(), SimTime::ZERO, 2);
+        assert_eq!(s.step_lone(SimTime::MAX), None);
+        assert_eq!(s.events_processed(), 0);
+
+        // A running kernel plus a newly queued one.
+        let (mut s, g, d, p) = lone_sim();
+        s.submit(g, p, decode_work(), SimTime::ZERO, 1);
+        s.advance_to(SimTime::from_secs(1e-4));
+        s.submit(g, d, decode_work(), s.now(), 2);
+        let before = lone_state(&s, g, d, p);
+        assert_eq!(s.step_lone(SimTime::MAX), None);
+        assert_eq!(lone_state(&s, g, d, p), before);
+
+        // A lone kernel that is already running.
+        let (mut s, g, d, _) = lone_sim();
+        s.submit(g, d, decode_work(), SimTime::ZERO, 1);
+        s.advance_to(SimTime::from_secs(1e-4));
+        assert_eq!(s.step_lone(SimTime::MAX), None);
+
+        // An undrained completion.
+        let (mut s, g, d, _) = lone_sim();
+        s.submit(g, d, decode_work(), SimTime::ZERO, 1);
+        s.advance_to(SimTime::from_secs(1.0));
+        s.submit(g, d, decode_work(), s.now(), 2);
+        assert_eq!(s.step_lone(SimTime::MAX), None);
+        assert_eq!(s.drain_completed().len(), 1);
+        assert_eq!(s.step_lone(SimTime::MAX), Some(2));
+    }
+
+    #[test]
+    fn step_lone_refuses_transfers_and_degradation() {
+        let (mut s, g, d, _) = lone_sim();
+        let link = s.create_link(100.0, SimDuration::from_micros(5.0));
+        s.submit_transfer(link, 1.0e6, 9);
+        s.submit(g, d, decode_work(), SimTime::ZERO, 1);
+        assert_eq!(s.step_lone(SimTime::MAX), None, "transfer in flight");
+        s.advance_to(SimTime::from_secs(1.0));
+        assert_eq!(s.drain_completed().len(), 1);
+        s.submit(g, d, decode_work(), s.now(), 2);
+        assert_eq!(s.step_lone(SimTime::MAX), None, "transfer undrained");
+        assert_eq!(s.drain_completed_transfers().len(), 1);
+        // With the link quiet the lone path opens again.
+        assert_eq!(s.step_lone(SimTime::MAX), Some(2));
+
+        let (mut s, g, d, _) = lone_sim();
+        s.apply_degradation(&HwDegradation::KernelSlowdown { mult: 2.0 });
+        s.submit(g, d, decode_work(), SimTime::ZERO, 1);
+        assert_eq!(s.step_lone(SimTime::MAX), None, "degraded");
+        s.clear_degradation();
+        assert_eq!(s.step_lone(SimTime::MAX), Some(1));
     }
 }

@@ -163,21 +163,25 @@ impl ModelSpec {
     /// Table 2's decode row: `O(d² + (r+1)·d)` FLOPs per sequence per
     /// layer; bytes are dominated by streaming the weights once per
     /// iteration plus each sequence's KV cache.
+    // simlint: hot
     pub fn decode_iter_work(&self, context_lens: &[u64], par: &Parallelism) -> WorkItem {
         let shard = par.degree() as f64;
         let bs = context_lens.len() as f64;
         let attn_dim = self.attn_dim() as f64;
         let d = self.hidden as f64;
+        // Per-sequence invariants, hoisted out of the batch loop.
+        let seq_flops =
+            2.0 * (self.attn_params_per_layer() + self.ffn_active_params_per_layer()) as f64;
+        let kv_token = self.kv_bytes_per_token_layer();
         let mut flops_layer = 0.0;
         let mut kv_read_layer = 0.0;
         for &r in context_lens {
             let r = r as f64;
-            flops_layer +=
-                2.0 * (self.attn_params_per_layer() + self.ffn_active_params_per_layer()) as f64;
+            flops_layer += seq_flops;
             flops_layer += 4.0 * attn_dim * (r + 1.0);
-            kv_read_layer += (r + 1.0) * self.kv_bytes_per_token_layer();
+            kv_read_layer += (r + 1.0) * kv_token;
         }
-        let kv_write_layer = bs * self.kv_bytes_per_token_layer();
+        let kv_write_layer = bs * kv_token;
         // Weights streamed once per iteration; MoE decode touches only
         // the experts its batch routes to.
         let ffn_weight = match self.moe {

@@ -71,6 +71,12 @@ impl ServeCtx {
     /// Emits `count` output tokens for a request at the current time.
     pub fn emit_tokens(&mut self, id: ReqId, count: u64) {
         let now = self.now;
+        if self.metrics.tokens_emitted(id) == 0 {
+            // The first token: every later one adds one TBT sample, so
+            // size the buffer once instead of growing it per token.
+            let gaps = self.requests[id].output_tokens.saturating_sub(1);
+            self.metrics.reserve_tbt(id, gaps as usize);
+        }
         self.metrics.emit_tokens(id, now, count);
     }
 

@@ -106,6 +106,10 @@ pub struct Instance {
     /// Whether a gray (non-severe, slow-but-alive) fault window is open:
     /// kernel latency spike or HBM/NVLink bandwidth degrade.
     gray_fault: bool,
+    /// Unit tests' switch and counter for [`Instance::step_lone`]:
+    /// `None` turns lone steps off, `Some` counts the ones taken.
+    #[cfg(test)]
+    lone_steps: Option<u64>,
 }
 
 /// What [`Instance::cancel`] did with the request.
@@ -176,6 +180,8 @@ impl Instance {
             completed_transfers: Vec::new(),
             fault_memo: None,
             gray_fault: false,
+            #[cfg(test)]
+            lone_steps: Some(0),
         }
     }
 
@@ -387,6 +393,16 @@ impl Instance {
     fn step_events(&mut self, scheduler: &mut dyn Scheduler, lim: SimTime) -> StepOutcome {
         let bounded = lim != SimTime::MAX;
         loop {
+            // While the watchdog cannot observe intermediate instants
+            // (disabled, or an empty watchlist makes its scan a no-op),
+            // pure kernel-start boundaries are stepped through inside
+            // the simulator without a full driver round-trip each; a lone
+            // kernel skips the scans too.
+            let merge_ok = self.watchdog.is_none() || self.watchlist.is_empty();
+            if merge_ok && self.step_lone(scheduler, lim) {
+                self.dispatch_instant(scheduler);
+                continue;
+            }
             // The bound check's simulator scan, reused by the first
             // simulator step below (nothing changes the simulator in
             // between).
@@ -409,18 +425,7 @@ impl Instance {
                 scanned = Some(t_gpu);
             }
             let t_queue = self.ctx.queue.peek_time();
-            // While the watchdog cannot observe intermediate instants
-            // (disabled, or an empty watchlist makes its scan a no-op),
-            // pure kernel-start boundaries are stepped through inside
-            // the simulator without a full driver round-trip each.
-            let merge_ok = self.watchdog.is_none() || self.watchlist.is_empty();
-            let mut limit = match t_queue {
-                Some(q) => q.min(self.max_sim_time),
-                None => self.max_sim_time,
-            };
-            if bounded {
-                limit = limit.min(lim);
-            }
+            let limit = self.step_limit(lim);
             let mut stepped = false;
             let mut dispatch = false;
             while let Some(t) = match scanned.take() {
@@ -478,108 +483,154 @@ impl Instance {
                     scheduler.on_transfer_done(tag, &mut self.ctx);
                 }
             }
-            let now = self.ctx.now;
-            while self.ctx.queue.peek_time() == Some(now) {
-                // The loop condition peeked Some, so pop() returns it;
-                // break rather than panic if that ever stops holding.
-                let Some((_, ev, _)) = self.ctx.queue.pop() else {
-                    debug_assert!(false, "queue popped None after peeking Some");
-                    break;
-                };
-                match ev {
-                    Event::Arrival(id) => {
-                        // A hedge copy cancelled before delivery never
-                        // reaches the scheduler at all.
-                        if self.ctx.metrics.is_cancelled(id) {
-                            continue;
-                        }
-                        if let Some(cfg) = self.watchdog {
-                            // Bounded deferral: while a severe window is
-                            // open, hold arrivals back with linear
-                            // backoff rather than admitting into a
-                            // brownout, up to the retry budget.
-                            if self.severe_fault && self.defer_count[id] < cfg.retry_budget {
-                                self.defer_count[id] += 1;
-                                self.fault_retries += 1;
-                                let at = self.ctx.now
-                                    + cfg.retry_backoff * f64::from(self.defer_count[id]);
-                                self.ctx.queue.push(at, Event::Arrival(id));
-                                continue;
-                            }
-                            // Admission control: shed outright past the
-                            // in-flight cap (the scheduler never sees
-                            // the request).
-                            self.prune_live();
-                            if self.live.len() >= cfg.queue_depth_cap {
-                                self.ctx.metrics.mark_shed(id);
-                                continue;
-                            }
-                            self.watchlist.push(id);
-                        }
-                        self.live.push(id);
-                        scheduler.on_arrival(id, &mut self.ctx);
+            self.dispatch_instant(scheduler);
+        }
+        StepOutcome::Done
+    }
+
+    /// The latest instant one driver iteration may step the simulator
+    /// to, inclusive: the next queued event, the time cap and the
+    /// caller's bound `lim`.
+    fn step_limit(&mut self, lim: SimTime) -> SimTime {
+        let limit = match self.ctx.queue.peek_time() {
+            Some(q) => q.min(self.max_sim_time),
+            None => self.max_sim_time,
+        };
+        limit.min(lim)
+    }
+
+    /// Steps the simulator's lone kernel through its start and
+    /// completion boundaries without a scan ([`GpuSim::step_lone`]) and
+    /// dispatches the completion; returns whether it did. Declines, with
+    /// nothing changed, when anything else could happen first — the
+    /// completion must land within [`Instance::step_limit`]. Because the
+    /// kernel starts strictly before it completes, a completion at or
+    /// before `lim` is one the bounded check would let through too.
+    ///
+    /// [`GpuSim::step_lone`]: gpusim::GpuSim::step_lone
+    // simlint: hot
+    fn step_lone(&mut self, scheduler: &mut dyn Scheduler, lim: SimTime) -> bool {
+        #[cfg(test)]
+        if self.lone_steps.is_none() {
+            return false;
+        }
+        let limit = self.step_limit(lim);
+        let Some(tag) = self.ctx.gpu.step_lone(limit) else {
+            return false;
+        };
+        #[cfg(test)]
+        if let Some(n) = &mut self.lone_steps {
+            *n += 1;
+        }
+        self.ctx.now = self.ctx.gpu.now();
+        scheduler.on_kernel_done(tag, &mut self.ctx);
+        true
+    }
+
+    /// Delivers the queued events due at the current instant, then runs
+    /// the watchdog's deadline-shedding scan.
+    // simlint: hot
+    fn dispatch_instant(&mut self, scheduler: &mut dyn Scheduler) {
+        let now = self.ctx.now;
+        while self.ctx.queue.peek_time() == Some(now) {
+            // The loop condition peeked Some, so pop() returns it;
+            // break rather than panic if that ever stops holding.
+            let Some((_, ev, _)) = self.ctx.queue.pop() else {
+                debug_assert!(false, "queue popped None after peeking Some");
+                break;
+            };
+            match ev {
+                Event::Arrival(id) => {
+                    // A hedge copy cancelled before delivery never
+                    // reaches the scheduler at all.
+                    if self.ctx.metrics.is_cancelled(id) {
+                        continue;
                     }
-                    Event::Timer(tag) => scheduler.on_timer(tag, &mut self.ctx),
-                    Event::FaultBoundary => self.apply_active_faults(scheduler),
-                    Event::Requeue(id) => {
-                        // A crash victim's scheduled re-injection. Skip
-                        // if the victim resolved some other way in the
-                        // meantime (finished, watchdog-shed, superseded
-                        // by a later crash's retry).
-                        if !self.recovery.is_pending(id)
-                            || self.ctx.metrics.is_finished(id)
-                            || self.ctx.metrics.is_shed(id)
-                            || self.ctx.metrics.is_cancelled(id)
-                        {
+                    if let Some(cfg) = self.watchdog {
+                        // Bounded deferral: while a severe window is
+                        // open, hold arrivals back with linear
+                        // backoff rather than admitting into a
+                        // brownout, up to the retry budget.
+                        if self.severe_fault && self.defer_count[id] < cfg.retry_budget {
+                            self.defer_count[id] += 1;
+                            self.fault_retries += 1;
+                            let at =
+                                self.ctx.now + cfg.retry_backoff * f64::from(self.defer_count[id]);
+                            self.ctx.queue.push(at, Event::Arrival(id));
                             continue;
                         }
-                        let cfg = self.watchdog.unwrap_or_default();
-                        // TTFT-deadline-aware give-up: a victim that has
-                        // produced nothing and can no longer meet its
-                        // deadline is shed, not silently retried forever.
-                        let deadline = self.ctx.requests[id].arrival + cfg.ttft_deadline;
-                        let deadline_lost =
-                            self.ctx.metrics.tokens_emitted(id) == 0 && self.ctx.now >= deadline;
-                        if deadline_lost || self.recovery.attempts(id) > cfg.retry_budget {
-                            self.recovery.on_gave_up(id);
+                        // Admission control: shed outright past the
+                        // in-flight cap (the scheduler never sees
+                        // the request).
+                        self.prune_live();
+                        if self.live.len() >= cfg.queue_depth_cap {
                             self.ctx.metrics.mark_shed(id);
                             continue;
                         }
-                        self.recovery.on_reinjected(id, self.ctx.now);
-                        scheduler.on_arrival(id, &mut self.ctx);
+                        self.watchlist.push(id);
                     }
+                    self.live.push(id);
+                    scheduler.on_arrival(id, &mut self.ctx);
                 }
-            }
-
-            // Deadline shedding: a watched request that still has no
-            // tokens past its TTFT deadline is offered to the scheduler
-            // once; requests that produced output leave the watchlist.
-            if let Some(cfg) = self.watchdog {
-                let mut i = 0;
-                while i < self.watchlist.len() {
-                    let id = self.watchlist[i];
-                    if self.ctx.metrics.is_finished(id)
+                Event::Timer(tag) => scheduler.on_timer(tag, &mut self.ctx),
+                Event::FaultBoundary => self.apply_active_faults(scheduler),
+                Event::Requeue(id) => {
+                    // A crash victim's scheduled re-injection. Skip
+                    // if the victim resolved some other way in the
+                    // meantime (finished, watchdog-shed, superseded
+                    // by a later crash's retry).
+                    if !self.recovery.is_pending(id)
+                        || self.ctx.metrics.is_finished(id)
                         || self.ctx.metrics.is_shed(id)
                         || self.ctx.metrics.is_cancelled(id)
-                        || self.ctx.metrics.tokens_emitted(id) > 0
                     {
-                        self.watchlist.remove(i);
                         continue;
                     }
+                    let cfg = self.watchdog.unwrap_or_default();
+                    // TTFT-deadline-aware give-up: a victim that has
+                    // produced nothing and can no longer meet its
+                    // deadline is shed, not silently retried forever.
                     let deadline = self.ctx.requests[id].arrival + cfg.ttft_deadline;
-                    if self.ctx.now >= deadline && !self.shed_attempted[id] {
-                        self.shed_attempted[id] = true;
-                        self.watchlist.remove(i);
-                        if scheduler.on_shed(id, &mut self.ctx) {
-                            self.ctx.metrics.mark_shed(id);
-                        }
+                    let deadline_lost =
+                        self.ctx.metrics.tokens_emitted(id) == 0 && self.ctx.now >= deadline;
+                    if deadline_lost || self.recovery.attempts(id) > cfg.retry_budget {
+                        self.recovery.on_gave_up(id);
+                        self.ctx.metrics.mark_shed(id);
                         continue;
                     }
-                    i += 1;
+                    self.recovery.on_reinjected(id, self.ctx.now);
+                    scheduler.on_arrival(id, &mut self.ctx);
                 }
             }
         }
-        StepOutcome::Done
+
+        // Deadline shedding: a watched request that still has no
+        // tokens past its TTFT deadline is offered to the scheduler
+        // once; requests that produced output leave the watchlist.
+        if let Some(cfg) = self.watchdog {
+            let mut i = 0;
+            while i < self.watchlist.len() {
+                let id = self.watchlist[i];
+                if self.ctx.metrics.is_finished(id)
+                    || self.ctx.metrics.is_shed(id)
+                    || self.ctx.metrics.is_cancelled(id)
+                    || self.ctx.metrics.tokens_emitted(id) > 0
+                {
+                    self.watchlist.remove(i);
+                    continue;
+                }
+                let deadline = self.ctx.requests[id].arrival + cfg.ttft_deadline;
+                if self.ctx.now >= deadline && !self.shed_attempted[id] {
+                    self.shed_attempted[id] = true;
+                    self.watchlist.remove(i);
+                    if scheduler.on_shed(id, &mut self.ctx) {
+                        self.ctx.metrics.mark_shed(id);
+                    }
+                    continue;
+                }
+                i += 1;
+            }
+        }
     }
 
     /// Assembles the end-of-run [`Report`] and the simulator's
@@ -909,6 +960,103 @@ mod tests {
         );
         let (rep, _) = inst.finish(&mut sched);
         assert_eq!(rep.finished, 0);
+    }
+
+    /// Runs each request as a chain of 10 ms kernels, one token per
+    /// kernel, and sets a 4 ms timer after every third completion.
+    #[derive(Default)]
+    struct Chain {
+        group: Option<GroupId>,
+        ctx_id: Option<CtxId>,
+        completions: u64,
+        timers: Vec<(SimTime, u64)>,
+    }
+
+    impl Chain {
+        fn launch(&self, id: ReqId, ctx: &mut ServeCtx) {
+            let work = WorkItem::new(KernelKind::Decode, 0.0, 0.0, 0.010);
+            let now = ctx.now();
+            let (g, c) = (self.group.unwrap(), self.ctx_id.unwrap());
+            ctx.gpu.submit(g, c, work, now, id as u64);
+        }
+
+        fn done(&mut self, tag: u64, ctx: &mut ServeCtx) {
+            let id = tag as ReqId;
+            self.completions += 1;
+            if self.completions.is_multiple_of(3) {
+                ctx.set_timer(SimDuration::from_millis(4.0), self.completions);
+            }
+            ctx.emit_tokens(id, 1);
+            if ctx.tokens_emitted(id) < ctx.request(id).output_tokens {
+                self.launch(id, ctx);
+            } else {
+                ctx.finish_request(id);
+            }
+        }
+    }
+
+    impl Scheduler for Chain {
+        fn on_start(&mut self, ctx: &mut ServeCtx) {
+            let g = ctx.gpu.create_group(vec![0]);
+            self.group = Some(g);
+            self.ctx_id = Some(ctx.gpu.set_context(g, 108));
+        }
+        fn on_arrival(&mut self, id: ReqId, ctx: &mut ServeCtx) {
+            if ctx.gpu.is_idle(self.group.unwrap(), self.ctx_id.unwrap()) {
+                self.launch(id, ctx);
+            } else {
+                ctx.finish_request(id);
+            }
+        }
+        fn on_kernel_done(&mut self, tag: u64, ctx: &mut ServeCtx) {
+            self.done(tag, ctx);
+        }
+        fn on_timer(&mut self, tag: u64, ctx: &mut ServeCtx) {
+            self.timers.push((ctx.now(), tag));
+        }
+        fn groups(&self) -> Vec<GroupId> {
+            self.group.into_iter().collect()
+        }
+        fn streams(&self) -> Vec<(GroupId, CtxId)> {
+            vec![(self.group.unwrap(), self.ctx_id.unwrap())]
+        }
+    }
+
+    #[test]
+    fn lone_steps_equal_generic_steps() {
+        // Kernel completions land every 10 ms; bounds fall between
+        // them and exactly on them, and timers set inside the callback
+        // must stop lone stepping before they fire.
+        let reqs = vec![req(0, 0.0, 40), req(1, 0.5, 7), req(2, 0.502, 3)];
+        let bounds: Vec<SimTime> = [0.0501, 0.2, 0.31, 0.45, 0.52, 0.6]
+            .iter()
+            .map(|&s| SimTime::from_secs(s))
+            .collect();
+        let run = |lone: bool| {
+            let mut sched = Chain::default();
+            let mut inst = driver(reqs.clone()).into_instance(&mut sched);
+            if !lone {
+                inst.lone_steps = None;
+            }
+            let mut steps = Vec::new();
+            for &b in &bounds {
+                steps.push((inst.step_until(&mut sched, b), inst.now()));
+            }
+            inst.step_until(&mut sched, SimTime::MAX);
+            let taken = inst.lone_steps;
+            let timers = std::mem::take(&mut sched.timers);
+            (inst.finish(&mut sched), steps, timers, taken)
+        };
+        let (reference, ref_steps, ref_timers, _) = run(false);
+        let (lone, lone_steps, lone_timers, taken) = run(true);
+        assert_eq!(lone, reference);
+        assert_eq!(lone_steps, ref_steps);
+        assert_eq!(lone_timers, ref_timers);
+        assert_eq!(reference.0.finished, 3);
+        assert!(ref_timers.len() > 10);
+        // Most of the 50 completions are lone; the rest share an instant
+        // with a timer or a bound, or run beside a second request.
+        assert!(taken.unwrap() > 25, "lone steps taken: {taken:?}");
     }
 
     #[test]

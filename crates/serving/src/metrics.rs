@@ -95,6 +95,11 @@ impl MetricsRecorder {
         self.last_tbt_violation_at
     }
 
+    /// Reserves room for `gaps` more TBT samples of `req`.
+    pub(crate) fn reserve_tbt(&mut self, req: ReqId, gaps: usize) {
+        self.runtimes[req].tbt_samples.reserve_exact(gaps);
+    }
+
     /// Records the emission of `count` output tokens for `req` at `now`
     /// (decode iterations emit one per request; the prefill's completion
     /// emits the first).

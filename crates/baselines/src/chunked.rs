@@ -57,17 +57,8 @@ pub struct ChunkedPrefill {
     /// Spare pieces buffer cycled through `inflight` so assembling an
     /// iteration never reallocates.
     pieces_spare: Vec<(ReqId, u64)>,
-    /// Macro-stepped decode (mirrors `MuxWiseConfig::macro_steps`):
-    /// during quiescent decode-only stretches the chunk-assembly prelude
-    /// is skipped behind cheap invariant checks. Schedules are
-    /// bit-identical either way; the flag exists so equivalence tests
-    /// can A/B the two paths.
-    macro_steps: bool,
-    /// The previous launch proved the engine quiescent (decode-only,
-    /// nothing waiting or prefilling), so this launch may coalesce.
-    macro_armed: bool,
+    /// Iterations launched with a non-empty decode batch.
     decode_iters: u64,
-    coalesced_iters: u64,
 }
 
 /// The candidate token budgets tried by offline tuning (descending).
@@ -112,17 +103,8 @@ impl ChunkedPrefill {
             victim_scratch: Vec::new(),
             retired_scratch: Vec::new(),
             pieces_spare: Vec::new(),
-            macro_steps: true,
-            macro_armed: false,
             decode_iters: 0,
-            coalesced_iters: 0,
         }
-    }
-
-    /// Toggles macro-stepped decode (for A/B equivalence tests).
-    pub fn set_macro_steps(&mut self, on: bool) {
-        self.macro_steps = on;
-        self.macro_armed = false;
     }
 
     /// Creates the scheduler with the SARATHI-Serve methodology: the
@@ -208,13 +190,6 @@ impl ChunkedPrefill {
         if self.decode.is_empty() && self.prefilling.is_empty() {
             return;
         }
-        // Macro fast path: the previous launch proved the engine
-        // quiescent (decode-only, nothing waiting or prefilling), so the
-        // chunk-assembly prelude can be skipped and the cached context
-        // scratch advanced in place. Any deviation (victims, arrivals,
-        // retirements) disarms and demotes to the full path below.
-        let mut fast = self.macro_armed;
-        self.macro_armed = false;
         let now = ctx.now();
         // Grow decode KV by one token per sequence; requeue victims when
         // the pool is exhausted (their leases return through the table —
@@ -223,14 +198,10 @@ impl ChunkedPrefill {
         let table = self.table.as_mut().expect("table");
         self.decode
             .grow_for_iteration_into(table, now, &mut self.victim_scratch);
-        if !self.victim_scratch.is_empty() {
-            // Requeues repopulate `waiting`: full prelude required.
-            fast = false;
-            for i in 0..self.victim_scratch.len() {
-                let id = self.victim_scratch[i];
-                self.waiting.push_front(id);
-                self.lifecycle.requeue(id);
-            }
+        for i in 0..self.victim_scratch.len() {
+            let id = self.victim_scratch[i];
+            self.waiting.push_front(id);
+            self.lifecycle.requeue(id);
         }
 
         // Assemble the fused batch: decode first, then a chunk within the
@@ -241,68 +212,51 @@ impl ChunkedPrefill {
         let mut pieces: Vec<(ReqId, u64)> = std::mem::take(&mut self.pieces_spare);
         pieces.clear();
         let mut chunk_work = WorkItem::empty(KernelKind::Fused);
-        if fast {
-            // Unchanged slot set: every context advanced by exactly one
-            // token since the scratch was built, and an armed launch
-            // implies no prefill chunks, so the loop below would
-            // contribute nothing.
-            debug_assert!(
-                self.prefilling.is_empty()
-                    && self.waiting.is_empty()
-                    && self.ctx_scratch.len() == self.decode.len(),
-                "macro arm invariants violated"
-            );
-            for c in &mut self.ctx_scratch {
-                *c += 1;
+        let mut chunk_left = self.budget.saturating_sub(bs);
+        for p in self.prefilling.iter_mut() {
+            if chunk_left == 0 {
+                break;
             }
-            self.coalesced_iters += 1;
-        } else {
-            let mut chunk_left = self.budget.saturating_sub(bs);
-            for p in self.prefilling.iter_mut() {
-                if chunk_left == 0 {
-                    break;
-                }
-                let need = p.total_new - p.done_new;
-                if need == 0 {
-                    // Fully-cached prompt (e.g. a requeued crash victim
-                    // whose committed prefix covers every block): nothing
-                    // to compute, but it must ride this iteration as a
-                    // zero-token piece so the completion path retires it.
-                    pieces.push((p.id, 0));
-                    continue;
-                }
-                let take = chunk_left.min(need);
-                let table = self.table.as_mut().expect("table");
-                if !table.try_alloc_private(take, now) {
-                    break;
-                }
-                p.lease.absorb_private(take);
-                // The chunk re-reads the KV of everything before it —
-                // cached prefix plus all earlier chunks (§2.3.2's
-                // repetitive access).
-                let seq = SeqState::new(take, p.cached + p.done_new);
-                chunk_work = chunk_work.plus(&self.model.prefill_full_work(&[seq], &self.par));
-                pieces.push((p.id, take));
-                chunk_left -= take;
+            let need = p.total_new - p.done_new;
+            if need == 0 {
+                // Fully-cached prompt (e.g. a requeued crash victim
+                // whose committed prefix covers every block): nothing
+                // to compute, but it must ride this iteration as a
+                // zero-token piece so the completion path retires it.
+                pieces.push((p.id, 0));
+                continue;
             }
-
-            if bs == 0 && pieces.is_empty() {
-                self.pieces_spare = pieces;
-                // Pool exhausted with nothing running: drop the head
-                // request (cannot ever fit) to stay live.
-                if self.decode.is_empty() && self.inflight.is_none() {
-                    if let Some(p) = self.prefilling.pop_front() {
-                        self.table.as_mut().expect("table").release(p.lease);
-                        ctx.finish_request(p.id);
-                        self.lifecycle.drop_request(p.id);
-                    }
-                }
-                return;
+            let take = chunk_left.min(need);
+            let table = self.table.as_mut().expect("table");
+            if !table.try_alloc_private(take, now) {
+                break;
             }
-
-            self.ctx_scratch.clear();
-            self.ctx_scratch.extend(self.decode.contexts());
+            p.lease.absorb_private(take);
+            // The chunk re-reads the KV of everything before it —
+            // cached prefix plus all earlier chunks (§2.3.2's
+            // repetitive access).
+            let seq = SeqState::new(take, p.cached + p.done_new);
+            chunk_work = chunk_work.plus(&self.model.prefill_full_work(&[seq], &self.par));
+            pieces.push((p.id, take));
+            chunk_left -= take;
         }
+
+        if bs == 0 && pieces.is_empty() {
+            self.pieces_spare = pieces;
+            // Pool exhausted with nothing running: drop the head
+            // request (cannot ever fit) to stay live.
+            if self.decode.is_empty() && self.inflight.is_none() {
+                if let Some(p) = self.prefilling.pop_front() {
+                    self.table.as_mut().expect("table").release(p.lease);
+                    ctx.finish_request(p.id);
+                    self.lifecycle.drop_request(p.id);
+                }
+            }
+            return;
+        }
+
+        self.ctx_scratch.clear();
+        self.ctx_scratch.extend(self.decode.contexts());
         if bs > 0 {
             self.decode_iters += 1;
         }
@@ -335,13 +289,6 @@ impl ChunkedPrefill {
         }
         let ready = now + launch;
         ctx.gpu.submit(group, c, work, ready, 1);
-        // Re-arm for the next iteration only in the quiescent decode-only
-        // regime: no chunk rode this launch and nothing is waiting to.
-        self.macro_armed = self.macro_steps
-            && bs > 0
-            && pieces.is_empty()
-            && self.prefilling.is_empty()
-            && self.waiting.is_empty();
         self.inflight = Some(pieces);
     }
 
@@ -361,11 +308,6 @@ impl ChunkedPrefill {
         // Decode side: one token each.
         let mut retired = std::mem::take(&mut self.retired_scratch);
         self.decode.advance_iteration_into(ctx, &mut retired);
-        if !retired.is_empty() {
-            // The slot set changed: the cached context scratch no longer
-            // describes the batch.
-            self.macro_armed = false;
-        }
         for slot in retired.drain(..) {
             self.retire_slot(slot, ctx);
         }
@@ -424,7 +366,6 @@ impl Scheduler for ChunkedPrefill {
     }
 
     fn on_arrival(&mut self, id: ReqId, ctx: &mut ServeCtx) {
-        self.macro_armed = false;
         self.waiting.push_back(id);
         self.admit_waiting(ctx);
         self.launch_iteration(ctx);
@@ -432,10 +373,6 @@ impl Scheduler for ChunkedPrefill {
 
     fn on_kernel_done(&mut self, _tag: u64, ctx: &mut ServeCtx) {
         self.on_iteration_done(ctx);
-    }
-
-    fn groups(&self) -> Vec<GroupId> {
-        self.group.into_iter().collect()
     }
 
     fn streams(&self) -> Vec<(GroupId, CtxId)> {
@@ -450,11 +387,7 @@ impl Scheduler for ChunkedPrefill {
     }
 
     fn decode_iter_stats(&self) -> (u64, u64) {
-        (self.decode_iters, self.coalesced_iters)
-    }
-
-    fn set_macro_steps(&mut self, on: bool) {
-        ChunkedPrefill::set_macro_steps(self, on);
+        (self.decode_iters, 0)
     }
 
     fn lease_tables(&self) -> Vec<&LeaseTable> {
@@ -479,7 +412,6 @@ impl Scheduler for ChunkedPrefill {
         // halts the whole engine and loses all device-resident KV.
         self.down = true;
         self.inflight = None;
-        self.macro_armed = false;
         let table = self.table.as_mut().expect("table");
         let mut victims = Vec::new();
         // Chunked prefill has no layer checkpoints — chunk progress dies
@@ -505,7 +437,6 @@ impl Scheduler for ChunkedPrefill {
             }
         }
         self.down = false;
-        self.macro_armed = false;
         self.admit_waiting(ctx);
         self.launch_iteration(ctx);
     }

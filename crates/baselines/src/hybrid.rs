@@ -458,10 +458,6 @@ impl Scheduler for HybridPd {
         }
     }
 
-    fn groups(&self) -> Vec<GroupId> {
-        self.p_group.into_iter().chain(self.d_group).collect()
-    }
-
     fn streams(&self) -> Vec<(GroupId, CtxId)> {
         let mut v = Vec::new();
         if let (Some(g), Some(c)) = (self.p_group, self.p_ctx) {

@@ -302,10 +302,6 @@ impl Scheduler for LoongServe {
         }
     }
 
-    fn groups(&self) -> Vec<GroupId> {
-        self.d_group.into_iter().collect()
-    }
-
     fn streams(&self) -> Vec<(GroupId, CtxId)> {
         match (self.d_group, self.d_ctx) {
             (Some(g), Some(c)) => vec![(g, c)],

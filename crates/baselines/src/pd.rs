@@ -342,10 +342,6 @@ impl Scheduler for SglangPd {
         }
     }
 
-    fn groups(&self) -> Vec<GroupId> {
-        self.p_group.into_iter().chain(self.d_group).collect()
-    }
-
     fn streams(&self) -> Vec<(GroupId, CtxId)> {
         let mut v = Vec::new();
         if let (Some(g), Some(c)) = (self.p_group, self.p_ctx) {

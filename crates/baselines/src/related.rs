@@ -274,10 +274,6 @@ impl Scheduler for WindServe {
         self.try_start_prefill(ctx);
     }
 
-    fn groups(&self) -> Vec<GroupId> {
-        self.group.into_iter().collect()
-    }
-
     fn streams(&self) -> Vec<(GroupId, CtxId)> {
         match (self.group, self.d_ctx, self.p_ctx) {
             (Some(g), Some(d), Some(p)) => vec![(g, d), (g, p)],
@@ -475,10 +471,6 @@ impl Scheduler for TemporalMux {
             }
         }
         self.schedule(ctx);
-    }
-
-    fn groups(&self) -> Vec<GroupId> {
-        self.group.into_iter().collect()
     }
 
     fn streams(&self) -> Vec<(GroupId, CtxId)> {

@@ -65,7 +65,6 @@ fn main() {
     let mut best = 0.0f64;
     let mut sim_secs = 0.0f64;
     let mut iters = 0u64;
-    let mut coalesced = 0u64;
     for pass in 0..repeats() {
         // simlint: allow(R2) reason="times one sequential grid pass; reporting-only"
         let t0 = Instant::now();
@@ -76,23 +75,15 @@ fn main() {
             .flatten()
             .map(|(r, _)| r.makespan.as_secs())
             .sum();
-        (iters, coalesced) = results
-            .iter()
-            .flatten()
-            .fold((0, 0), |(t, c), (_, (ti, ci))| (t + ti, c + ci));
+        iters = results.iter().flatten().map(|(_, it)| it).sum();
         let rate = sim_secs / wall;
         if rate > best {
             best = rate;
         }
         println!("pass {pass}: {wall:.3}s wall, {rate:.0} sim-s/wall-s");
     }
-    let ratio = if iters > 0 {
-        coalesced as f64 / iters as f64
-    } else {
-        0.0
-    };
     println!("best: {best:.0} sim-s/wall-s over {sim_secs:.1} simulated seconds");
-    println!("decode iterations: {iters} ({coalesced} macro-coalesced, ratio {ratio:.3})");
+    println!("decode iterations: {iters}");
 
     match recorded_baseline() {
         Some(baseline) => {

@@ -63,14 +63,13 @@ fn main() {
 
     let reps = repeats();
 
-    // Sequential leg: best-of-N, with the decode-coalescing counters and
+    // Sequential leg: best-of-N, with the decode-iteration and
     // boundary-event totals taken from the first pass (they are
     // deterministic, so every pass agrees).
     let mut wall_seq = f64::INFINITY;
     let mut sequential = Vec::new();
     let mut total_events = 0u64;
     let mut decode_iters = 0u64;
-    let mut coalesced_iters = 0u64;
     for rep in 0..reps {
         // simlint: allow(R2) reason="times the sequential baseline pass; reporting-only"
         let t0 = Instant::now();
@@ -78,8 +77,7 @@ fn main() {
         wall_seq = wall_seq.min(t0.elapsed().as_secs_f64());
         if rep == 0 {
             total_events = full.iter().flatten().map(|(_, _, events)| events).sum();
-            decode_iters = full.iter().flatten().map(|(_, (it, _), _)| it).sum();
-            coalesced_iters = full.iter().flatten().map(|(_, (_, co), _)| co).sum();
+            decode_iters = full.iter().flatten().map(|(_, it, _)| it).sum();
             sequential = full
                 .into_iter()
                 .map(|r| r.map(|(report, _, _)| report))
@@ -113,11 +111,6 @@ fn main() {
     // "speedup" would be timing noise presented as a measurement.
     let jobs_effective = jobs.len().min(cores);
     let speedup = wall_seq / wall_par;
-    let coalescing_ratio = if decode_iters > 0 {
-        coalesced_iters as f64 / decode_iters as f64
-    } else {
-        0.0
-    };
     assert!(
         jobs.len() >= cores.min(8),
         "parallel leg needs jobs >= cores for a meaningful speedup figure"
@@ -145,9 +138,7 @@ fn main() {
         "events: {total_events} ({:.0} events/wall-s parallel)",
         total_events as f64 / wall_par
     );
-    println!(
-        "decode iterations: {decode_iters} ({coalesced_iters} macro-coalesced, ratio {coalescing_ratio:.3})"
-    );
+    println!("decode iterations: {decode_iters}");
 
     let speedup_value = if cores > 1 {
         serde_json::json!(speedup)
@@ -170,8 +161,6 @@ fn main() {
         "events_per_wall_second_sequential": total_events as f64 / wall_seq,
         "events_per_wall_second_parallel": total_events as f64 / wall_par,
         "decode_iterations": decode_iters,
-        "decode_iterations_coalesced": coalesced_iters,
-        "macro_coalescing_ratio": coalescing_ratio,
         "speedup": speedup_value,
         "identical_results": true,
     });

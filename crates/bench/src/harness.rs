@@ -73,8 +73,7 @@ pub fn stability_run(
 }
 
 /// [`stability_run`] variant that also returns the engine's decode
-/// coalescing counters `(total iterations, macro-coalesced iterations)`
-/// — zero for engines without a macro-stepped fast path. The report is
+/// iteration count (zero for engines that do not count). The report is
 /// bit-identical to [`stability_run`]'s.
 pub fn stability_run_stats(
     tb: &Testbed,
@@ -83,7 +82,7 @@ pub fn stability_run_stats(
     n: usize,
     rate: f64,
     seed: u64,
-) -> Option<(Report, (u64, u64))> {
+) -> Option<(Report, u64)> {
     stability_run_full(tb, kind, workload, n, rate, seed).map(|(report, iters, _)| (report, iters))
 }
 
@@ -97,7 +96,7 @@ pub fn stability_run_full(
     n: usize,
     rate: f64,
     seed: u64,
-) -> Option<(Report, (u64, u64), u64)> {
+) -> Option<(Report, u64, u64)> {
     let mut rng = SimRng::seed_from(seed);
     let reqs = generate(workload, n, rate, &mut rng);
     let max_out = reqs.iter().map(|r| r.output_tokens).max().unwrap_or(0) as f64;
@@ -119,7 +118,7 @@ pub fn stability_run_full(
     if report.ttft.p99() > 0.5 * span {
         report.diverged = true;
     }
-    Some((report, engine.decode_iter_stats(), events))
+    Some((report, engine.decode_iter_stats().0, events))
 }
 
 /// Goodput search for one system: sweeps the given rates (Fig. 15).

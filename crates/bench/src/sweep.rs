@@ -137,9 +137,8 @@ impl SweepJob<'_> {
     }
 
     /// Like [`SweepJob::run`] but also returns the engine's decode
-    /// coalescing counters `(total, coalesced)`; the report itself is
-    /// bit-identical.
-    pub fn run_with_stats(&self) -> Option<(Report, (u64, u64))> {
+    /// iteration count; the report itself is bit-identical.
+    pub fn run_with_stats(&self) -> Option<(Report, u64)> {
         crate::harness::stability_run_stats(
             self.tb,
             self.kind,
@@ -153,7 +152,7 @@ impl SweepJob<'_> {
     /// Like [`SweepJob::run_with_stats`] but also returns the
     /// simulator's boundary-event count for events/wall-second
     /// reporting; the report remains bit-identical.
-    pub fn run_full(&self) -> Option<(Report, (u64, u64), u64)> {
+    pub fn run_full(&self) -> Option<(Report, u64, u64)> {
         crate::harness::stability_run_full(
             self.tb,
             self.kind,

@@ -59,13 +59,6 @@ pub struct MuxWiseConfig {
     pub max_prefill_batch_tokens: u64,
     /// Safety margin on the TBT budget when choosing partitions.
     pub tbt_margin: f64,
-    /// Macro-stepped decode: during provably quiescent stretches (no
-    /// prefill anywhere, nothing waiting or joining), successive decode
-    /// launches skip the merge/partition/prefill prelude behind cheap
-    /// cached invariant checks, deflating to the full path at the first
-    /// deviation. Schedules are bit-identical either way; the flag
-    /// exists so equivalence tests can A/B the two paths.
-    pub macro_steps: bool,
     /// The spatial-sharing mechanism (§3.2.1): green contexts by
     /// default; MPS/static model the inter-process alternatives.
     pub backend: PartitionBackend,
@@ -81,7 +74,6 @@ impl Default for MuxWiseConfig {
             max_decode_batch: 256,
             max_prefill_batch_tokens: 16_384,
             tbt_margin: 0.9,
-            macro_steps: true,
             backend: PartitionBackend::GreenContext,
         }
     }

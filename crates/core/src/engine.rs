@@ -3,6 +3,8 @@
 
 use std::collections::{HashMap, VecDeque};
 
+use estimator::guard::GuardRow;
+use estimator::linreg::predict_max_affine;
 use estimator::GuardQuery;
 use gpusim::{CtxId, GroupId};
 use kvcache::KvPool;
@@ -59,13 +61,15 @@ struct DecodeInflight {
     corun: Option<GuardQuery>,
 }
 
-/// One candidate partition of the macro-step dispatcher's cached
-/// best-fit scan: the resolved Eq. 2 plane set plus the guard factor
-/// for the current (context-bucket, batch) grid cell.
+/// One decode partition the dispatcher's best-fit scan may choose.
 #[derive(Debug)]
-struct MacroCand {
+struct PartitionCand {
     sms: u32,
+    /// The Eq. 2 plane set `decode_latency_agg` resolves for `sms`,
+    /// resolved once: the predictor never changes after construction.
     planes: Vec<Vec<f64>>,
+    /// Guard factor of `sms` at the key in `MuxWise::factor_memo`;
+    /// stays 1.0 with the guard disabled.
     factor: f64,
 }
 
@@ -78,7 +82,11 @@ pub struct MuxWise {
     slo: SloSpec,
     cfg: MuxWiseConfig,
     est: Estimators,
-    partition_configs: Vec<u32>,
+    /// Candidate decode partitions, smallest first.
+    cands: Vec<PartitionCand>,
+    /// `(guard row, guard generation)` the candidates' factors were
+    /// read at; any other key re-reads them.
+    factor_memo: Option<(GuardRow, u64)>,
     sm_count: u32,
     pool_capacity: u64,
 
@@ -120,26 +128,8 @@ pub struct MuxWise {
     victim_scratch: Vec<ReqId>,
     retired_scratch: Vec<DecodeSlot>,
 
-    /// Macro-step (coalesced decode) state: armed when the previous
-    /// launch proved the engine quiescent — no prefill anywhere, nothing
-    /// waiting or joining — so the next launch may skip the full prelude
-    /// after cheap invariant re-checks. Every other entry point clears
-    /// the flag.
-    macro_armed: bool,
-    /// Cached candidate partitions for the fast best-fit scan.
-    macro_cands: Vec<MacroCand>,
-    /// `(context bucket, batch size)` the cached guard factors were
-    /// computed at; a mismatch forces a refresh.
-    macro_key: (u8, usize),
-    /// Cached TBT budget of the quiescent regime, computed with the same
-    /// float ops as `desired_decode_sms`.
-    macro_budget: f64,
-    /// The factor/budget caches are current (cleared on fault
-    /// transitions and online guard refinements).
-    macro_valid: bool,
-    /// Decode iterations launched in total / via the macro fast path.
+    /// Decode iterations launched.
     decode_iters: u64,
-    coalesced_iters: u64,
 
     /// `(time, decode SMs)` at every partition change (Fig. 18).
     partition_log: Vec<(SimTime, u32)>,
@@ -169,6 +159,14 @@ impl MuxWise {
         let pool_capacity =
             kv_pool_capacity_tokens(cluster, model, cluster.num_gpus, tp, graph_mib);
         assert!(pool_capacity > 0, "model does not fit on this cluster");
+        let cands = partition_configs
+            .iter()
+            .map(|&sms| PartitionCand {
+                sms,
+                planes: est.predictor.decode_planes(sms).to_vec(),
+                factor: 1.0,
+            })
+            .collect();
         MuxWise {
             model: model.clone(),
             par: Parallelism::tp(tp, cluster.nvlink_gbs),
@@ -176,7 +174,8 @@ impl MuxWise {
             cfg,
             est,
             sm_count: cluster.gpu.sm_count,
-            partition_configs,
+            cands,
+            factor_memo: None,
             pool_capacity,
             group: None,
             decode_ctx: None,
@@ -199,13 +198,7 @@ impl MuxWise {
             ctx_scratch: Vec::new(),
             victim_scratch: Vec::new(),
             retired_scratch: Vec::new(),
-            macro_armed: false,
-            macro_cands: Vec::new(),
-            macro_key: (u8::MAX, 0),
-            macro_budget: 0.0,
-            macro_valid: false,
             decode_iters: 0,
-            coalesced_iters: 0,
             partition_log: Vec::new(),
             peak_decode_batch: 0,
         }
@@ -242,13 +235,6 @@ impl MuxWise {
         self.peak_decode_batch
     }
 
-    /// `(total decode iterations, macro-coalesced iterations)`. A
-    /// coalesced iteration took the fast launch path; it is bit-identical
-    /// to a full launch, so the ratio is pure telemetry.
-    pub fn decode_iter_stats(&self) -> (u64, u64) {
-        (self.decode_iters, self.coalesced_iters)
-    }
-
     /// Requests dropped because they could never fit the pool.
     pub fn dropped(&self) -> u64 {
         self.lifecycle.counters().drops
@@ -274,16 +260,22 @@ impl MuxWise {
     /// exists at all, decode takes the largest partition instead — idle
     /// SMs would otherwise be wasted (the Fig. 18 OpenThoughts regime,
     /// where most SMs serve decode).
+    ///
+    /// Every candidate's query shares one guard row, so the factors are
+    /// read once per (row, guard generation) and reused until either
+    /// changes; a generation bump covers every online refinement and
+    /// fault-window invalidation, so the reuse is exact.
     // simlint: hot
-    fn desired_decode_sms(&self, ctx: &ServeCtx) -> u32 {
+    fn desired_decode_sms(&mut self, ctx: &ServeCtx) -> u32 {
+        let last = self.cands.last().expect("non-empty configs").sms;
         if self.decode.is_empty() && self.pending_join.is_empty() {
-            return self.partition_configs[0];
+            return self.cands[0].sms;
         }
         if self.fault_mode {
             // Degraded hardware: the predictor's profiled latencies no
             // longer hold, so reserve the largest decode partition and
             // let online refinement re-learn the guard.
-            return *self.partition_configs.last().expect("non-empty configs");
+            return last;
         }
         // Eq. 2 and the guard key only read (Σ context, batch); both are
         // exact u64 aggregates, so no per-slot slice is materialized.
@@ -299,20 +291,35 @@ impl MuxWise {
             // a much faster iteration than the SLO requires.
             budget *= 0.3;
         }
-        for &sms in &self.partition_configs {
-            let solo = self.est.predictor.decode_latency_agg(sms, ctx_sum, batch);
-            let factor = if self.cfg.contention_guard {
-                self.est
-                    .guard
-                    .factor(&self.guard_query(sms, ctx_sum, batch))
-            } else {
-                1.0
-            };
-            if solo * factor <= budget {
-                return sms;
+        if self.cfg.contention_guard {
+            let q = self.guard_query(0, ctx_sum, batch);
+            let key = (q.row(), self.est.guard.generation());
+            if self.factor_memo != Some(key) {
+                for c in &mut self.cands {
+                    c.factor = self.est.guard.factor(&GuardQuery {
+                        decode_sms: c.sms,
+                        ..q
+                    });
+                }
+                self.factor_memo = Some(key);
+            }
+            debug_assert!(
+                self.cands.iter().all(|c| c.factor
+                    == self.est.guard.factor(&GuardQuery {
+                        decode_sms: c.sms,
+                        ..q
+                    })),
+                "memoized guard factor differs from a fresh lookup"
+            );
+        }
+        let f = [ctx_sum as f64, batch as f64, 1.0];
+        for c in &self.cands {
+            let solo = predict_max_affine(&c.planes, &f).max(0.0);
+            if solo * c.factor <= budget {
+                return c.sms;
             }
         }
-        *self.partition_configs.last().expect("non-empty configs")
+        last
     }
 
     // simlint: hot
@@ -370,74 +377,6 @@ impl MuxWise {
             let now = ctx.now();
             self.host_submit(now, SimDuration::from_secs(stall));
         }
-    }
-
-    /// Fast re-check that `try_apply_partition` would keep the current
-    /// partition, valid only under the macro invariants (no prefill job,
-    /// no preempted job, empty waiting queue, empty join queue). It
-    /// replays `desired_decode_sms`'s arithmetic bit-for-bit from cached
-    /// plane sets and guard factors, so "stable" here means the full
-    /// path would have been a no-op — any other answer demotes the
-    /// launch to the full path, which recomputes from scratch.
-    // simlint: hot
-    fn macro_partition_stable(&mut self, ctx: &ServeCtx) -> bool {
-        if !self.cfg.backend.can_reconfigure() && !self.partition_log.is_empty() {
-            return true; // MIG-style static slicing never resizes
-        }
-        let last = *self.partition_configs.last().expect("non-empty configs");
-        if self.fault_mode {
-            return self.decode_sms == last;
-        }
-        let ctx_sum = self.decode.context_sum();
-        let batch = self.decode.len();
-        let bucket = estimator::guard::context_bucket(ctx_sum / batch as u64);
-        if !self.macro_valid || self.macro_key != (bucket, batch) {
-            self.macro_refresh(ctx, ctx_sum, batch, bucket);
-        }
-        let f = [ctx_sum as f64, batch as f64, 1.0];
-        for cand in &self.macro_cands {
-            let solo = estimator::linreg::predict_max_affine(&cand.planes, &f).max(0.0);
-            if solo * cand.factor <= self.macro_budget {
-                return cand.sms == self.decode_sms;
-            }
-        }
-        self.decode_sms == last
-    }
-
-    /// Rebuilds the macro-step caches: resolved decode planes per
-    /// candidate partition (once — the predictor is immutable), the
-    /// quiescent-regime TBT budget, and the guard factor for the current
-    /// grid cell. All three reproduce `desired_decode_sms`'s exact
-    /// float operations under the macro invariants.
-    fn macro_refresh(&mut self, ctx: &ServeCtx, ctx_sum: u64, batch: usize, bucket: u8) {
-        if self.macro_cands.is_empty() {
-            for &sms in &self.partition_configs {
-                self.macro_cands.push(MacroCand {
-                    sms,
-                    planes: self.est.predictor.decode_planes(sms).to_vec(),
-                    factor: 1.0,
-                });
-            }
-        }
-        // Same ops in the same order as `desired_decode_sms`; the 0.3
-        // no-prefill scaling always applies in the quiescent regime.
-        let mut budget =
-            self.slo.tbt.as_secs() * self.cfg.tbt_margin - ctx.gpu.spec().graph_launch.as_secs();
-        budget *= 0.3;
-        self.macro_budget = budget;
-        for i in 0..self.macro_cands.len() {
-            let sms = self.macro_cands[i].sms;
-            let factor = if self.cfg.contention_guard {
-                self.est
-                    .guard
-                    .factor(&self.guard_query(sms, ctx_sum, batch))
-            } else {
-                1.0
-            };
-            self.macro_cands[i].factor = factor;
-        }
-        self.macro_key = (bucket, batch);
-        self.macro_valid = true;
     }
 
     fn prefill_sms(&self) -> u32 {
@@ -641,7 +580,6 @@ impl MuxWise {
 
     /// Handles completion of one prefill layer (or whole-phase launch).
     fn on_prefill_layer_done(&mut self, gen: u64, ctx: &mut ServeCtx) {
-        self.macro_armed = false;
         let in_current = self.prefill.as_ref().map(|j| j.gen) == Some(gen);
         let job = if in_current {
             self.prefill.as_mut()
@@ -734,25 +672,11 @@ impl MuxWise {
         if self.decode_inflight.is_some() || self.decode_blocked || self.down {
             return;
         }
-        // Macro fast path: the previous launch proved the engine
-        // quiescent — no prefill anywhere, nothing waiting or joining —
-        // so the merge/partition/prefill prelude can be skipped after
-        // cheap invariant re-checks. Any deviation (pool victims, a
-        // partition the best-fit scan would now change) demotes this
-        // launch to the full path, which recomputes everything.
-        let mut fast = self.macro_armed;
-        self.macro_armed = false;
-        if !fast {
-            // Query-based sync: merge finished prefills at the launch
-            // boundary.
-            while self.decode.len() < self.cfg.max_decode_batch && !self.pending_join.is_empty() {
-                self.decode.push(self.pending_join.remove(0));
-            }
+        // Query-based sync: merge finished prefills at the launch
+        // boundary.
+        while self.decode.len() < self.cfg.max_decode_batch && !self.pending_join.is_empty() {
+            self.decode.push(self.pending_join.remove(0));
         }
-        debug_assert!(
-            !fast || (self.pending_join.is_empty() && !self.decode.is_empty()),
-            "macro arm invariants violated"
-        );
         let (group, d_ctx) = match (self.group, self.decode_ctx) {
             (Some(g), Some(d)) => (g, d),
             _ => return,
@@ -763,15 +687,10 @@ impl MuxWise {
         let table = self.table.as_mut().expect("table");
         self.decode
             .grow_for_iteration_into(table, now, &mut self.victim_scratch);
-        if !self.victim_scratch.is_empty() {
-            // Requeues repopulate `waiting`, which feeds the partition
-            // budget: full prelude required.
-            fast = false;
-            for i in 0..self.victim_scratch.len() {
-                let id = self.victim_scratch[i];
-                self.waiting.push_front(id);
-                self.lifecycle.requeue(id);
-            }
+        for i in 0..self.victim_scratch.len() {
+            let id = self.victim_scratch[i];
+            self.waiting.push_front(id);
+            self.lifecycle.requeue(id);
         }
         if self.decode.is_empty() {
             // No decode boundary follows, so a prefill launch deferred to
@@ -779,24 +698,14 @@ impl MuxWise {
             self.launch_prefill_layers(ctx);
             return;
         }
-        if fast && self.macro_partition_stable(ctx) {
-            // Unchanged slot set: every context advanced by exactly one
-            // token since the scratch was built.
-            for c in &mut self.ctx_scratch {
-                *c += 1;
-            }
-            self.coalesced_iters += 1;
-        } else {
-            self.try_apply_partition(ctx);
-            // A deferred prefill launch (waiting for this resize) can go
-            // now.
-            if job_idle(self.prefill.as_ref()) {
-                self.launch_prefill_layers(ctx);
-            }
-            self.peak_decode_batch = self.peak_decode_batch.max(self.decode.len());
-            self.ctx_scratch.clear();
-            self.ctx_scratch.extend(self.decode.contexts());
+        self.try_apply_partition(ctx);
+        // A deferred prefill launch (waiting for this resize) can go now.
+        if job_idle(self.prefill.as_ref()) {
+            self.launch_prefill_layers(ctx);
         }
+        self.peak_decode_batch = self.peak_decode_batch.max(self.decode.len());
+        self.ctx_scratch.clear();
+        self.ctx_scratch.extend(self.decode.contexts());
         self.decode_iters += 1;
         let work = self.model.decode_iter_work(&self.ctx_scratch, &self.par);
         let spec_launch = ctx.gpu.spec().graph_launch;
@@ -823,12 +732,6 @@ impl MuxWise {
             predicted_solo,
             corun,
         });
-        // Re-arm for the next iteration only in the quiescent regime.
-        self.macro_armed = self.cfg.macro_steps
-            && self.prefill.is_none()
-            && self.preempted.is_none()
-            && self.waiting.is_empty()
-            && self.pending_join.is_empty();
     }
 
     // simlint: hot
@@ -841,18 +744,11 @@ impl MuxWise {
                     self.est
                         .guard
                         .observe(&q, measured / inflight.predicted_solo);
-                    // A refined cell may invalidate cached factors.
-                    self.macro_valid = false;
                 }
             }
         }
         let mut retired = std::mem::take(&mut self.retired_scratch);
         self.decode.advance_iteration_into(ctx, &mut retired);
-        if !retired.is_empty() {
-            // The slot set changed: the cached context scratch no longer
-            // describes the batch.
-            self.macro_armed = false;
-        }
         for slot in retired.drain(..) {
             self.retire_slot(slot, ctx);
         }
@@ -970,7 +866,7 @@ impl Scheduler for MuxWise {
     fn on_start(&mut self, ctx: &mut ServeCtx) {
         let gpus: Vec<u32> = (0..ctx.gpu.num_gpus()).collect();
         let group = ctx.gpu.create_group(gpus);
-        self.decode_sms = self.partition_configs[0];
+        self.decode_sms = self.cands[0].sms;
         let d = ctx.gpu.set_context(group, self.decode_sms);
         let p = ctx.gpu.set_context(group, self.sm_count - self.decode_sms);
         self.group = Some(group);
@@ -981,7 +877,6 @@ impl Scheduler for MuxWise {
     }
 
     fn on_arrival(&mut self, id: ReqId, ctx: &mut ServeCtx) {
-        self.macro_armed = false;
         self.maybe_preempt(id, ctx);
         if self
             .prefill
@@ -1008,10 +903,6 @@ impl Scheduler for MuxWise {
         }
     }
 
-    fn groups(&self) -> Vec<GroupId> {
-        self.group.into_iter().collect()
-    }
-
     fn streams(&self) -> Vec<(GroupId, CtxId)> {
         match (self.group, self.decode_ctx, self.prefill_ctx) {
             (Some(g), Some(d), Some(p)) => vec![(g, d), (g, p)],
@@ -1024,12 +915,7 @@ impl Scheduler for MuxWise {
     }
 
     fn decode_iter_stats(&self) -> (u64, u64) {
-        (self.decode_iters, self.coalesced_iters)
-    }
-
-    fn set_macro_steps(&mut self, on: bool) {
-        self.cfg.macro_steps = on;
-        self.macro_armed = false;
+        (self.decode_iters, 0)
     }
 
     fn lease_tables(&self) -> Vec<&LeaseTable> {
@@ -1041,10 +927,6 @@ impl Scheduler for MuxWise {
     }
 
     fn on_fault(&mut self, active: &[FaultKind], _ctx: &mut ServeCtx) {
-        // Fault boundaries can shrink the pool or flip `fault_mode`;
-        // both break the macro invariants and the cached factors.
-        self.macro_armed = false;
-        self.macro_valid = false;
         let degraded = !active.is_empty();
         if degraded && !self.fault_mode {
             // The hardware changed under the offline profile: discard
@@ -1056,7 +938,6 @@ impl Scheduler for MuxWise {
     }
 
     fn on_shed(&mut self, id: ReqId, _ctx: &mut ServeCtx) -> bool {
-        self.macro_armed = false;
         self.lifecycle.shed_waiting(&mut self.waiting, id)
     }
 
@@ -1070,7 +951,6 @@ impl Scheduler for MuxWise {
         // death takes the whole engine down: all in-flight kernels were
         // cancelled by the driver and every running request loses its
         // device-resident KV.
-        self.macro_armed = false;
         self.down = true;
         self.decode_inflight = None;
         self.decode_blocked = false;
@@ -1113,20 +993,9 @@ impl Scheduler for MuxWise {
                 return; // another device of the group is still down
             }
         }
-        self.macro_armed = false;
         self.down = false;
         self.try_start_prefill(ctx);
         self.launch_decode(ctx);
-    }
-
-    fn on_transfer_done(&mut self, _tag: u64, _ctx: &mut ServeCtx) {
-        // MuxWise schedules no transfers, but any external event breaks
-        // the macro-step quiescence proof on principle.
-        self.macro_armed = false;
-    }
-
-    fn on_timer(&mut self, _tag: u64, _ctx: &mut ServeCtx) {
-        self.macro_armed = false;
     }
 }
 

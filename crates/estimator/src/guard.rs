@@ -22,7 +22,26 @@ pub struct GuardQuery {
     pub decode_sms: u32,
 }
 
+/// A query's grid cell without its SM dimension: the bucketed
+/// prefill new / reused tokens, decode batch and decode context.
+pub type GuardRow = (u8, u8, u8, u8);
+
 type CellKey = (u8, u8, u8, u8, u32);
+
+impl GuardQuery {
+    /// The query's grid cell without its SM dimension. Queries that
+    /// differ only in `decode_sms` share it, so a dispatcher scoring
+    /// every partition for one batch can key a memo of their factors
+    /// on it together with [`ContentionGuard::generation`].
+    pub fn row(&self) -> GuardRow {
+        (
+            token_bucket(self.prefill_new),
+            token_bucket(self.prefill_reused),
+            batch_bucket(self.decode_batch),
+            token_bucket(self.decode_context),
+        )
+    }
+}
 
 /// One populated guard-grid cell in exported form: bucketed query key
 /// plus its worst observed slowdown.
@@ -40,18 +59,13 @@ fn token_bucket(tokens: u64) -> u8 {
 }
 
 /// Batch-size buckets (log₂-spaced, covering the framework's captured
-/// batch sizes).
+/// batch sizes): `round(log₂ bs)`, in integers. The floor `k` of
+/// `log₂ bs` rounds up when `bs ≥ 2^(k+½)`, i.e. `bs² ≥ 2^(2k+1)`; an
+/// integer square is never an odd power of two, so there is no tie.
 fn batch_bucket(bs: usize) -> u8 {
-    (bs.max(1) as f64).log2().round() as u8
-}
-
-/// The grid bucket of a `decode_context` value. Exposed so dispatchers
-/// caching a [`ContentionGuard::factor`] across decode iterations can
-/// tell exactly when a growing context crosses into a new cell (only
-/// then can the cached factor go stale: the other four key dimensions
-/// are fixed while the batch composition is unchanged).
-pub fn context_bucket(tokens: u64) -> u8 {
-    token_bucket(tokens)
+    let bs = bs.max(1) as u128;
+    let k = 127 - bs.leading_zeros();
+    (k + u32::from(bs * bs >= 1 << (2 * k + 1))) as u8
 }
 
 /// Worst-case decode slowdown factors, indexed by the coarse grid.
@@ -65,6 +79,9 @@ pub fn context_bucket(tokens: u64) -> u8 {
 pub struct ContentionGuard {
     cells: HashMap<CellKey, f64>,
     global_max: f64,
+    /// Bumped whenever some query's [`ContentionGuard::factor`] may
+    /// change; see [`ContentionGuard::generation`].
+    generation: u64,
 }
 
 impl ContentionGuard {
@@ -74,6 +91,7 @@ impl ContentionGuard {
         ContentionGuard {
             cells: HashMap::new(),
             global_max: floor.max(1.0),
+            generation: 0,
         }
     }
 
@@ -95,10 +113,7 @@ impl ContentionGuard {
         assert!(!decode_partitions.is_empty());
         const TOKENS: [u64; 4] = [2_048, 8_192, 32_768, 131_072];
         const BATCHES: [usize; 5] = [1, 8, 32, 128, 256];
-        let mut guard = ContentionGuard {
-            cells: HashMap::new(),
-            global_max: 1.0,
-        };
+        let mut guard = ContentionGuard::flat(1.0);
         for &sms in decode_partitions {
             let prefill_sms = cluster.gpu.sm_count - sms;
             if prefill_sms == 0 {
@@ -144,8 +159,14 @@ impl ContentionGuard {
     /// refinement from production executions). Cells keep their max.
     pub fn observe(&mut self, q: &GuardQuery, slowdown: f64) {
         let s = slowdown.max(1.0);
-        let cell = self.cells.entry(Self::key(q)).or_insert(1.0);
-        *cell = cell.max(s);
+        // A new cell is below every `s` (≥ 1), so it is always written.
+        // Raising the global max always creates or raises this cell, so
+        // the cell write is the only change a factor can see.
+        let cell = self.cells.entry(Self::key(q)).or_insert(0.0);
+        if s > *cell {
+            *cell = s;
+            self.generation += 1;
+        }
         self.global_max = self.global_max.max(s);
     }
 
@@ -156,6 +177,18 @@ impl ContentionGuard {
     /// the worst case ever seen remains a safe upper bound.
     pub fn invalidate(&mut self) {
         self.cells.clear();
+        self.generation += 1;
+    }
+
+    /// A counter that changes whenever any [`ContentionGuard::factor`]
+    /// answer may change: when [`ContentionGuard::observe`] creates or
+    /// raises a cell (an observation that raises the global max always
+    /// does one of the two), and on every
+    /// [`ContentionGuard::invalidate`]. Between two equal readings every
+    /// query answers the same, so callers may memoize factors keyed on
+    /// it.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// The largest slowdown ever observed.
@@ -188,13 +221,8 @@ impl ContentionGuard {
     }
 
     fn key(q: &GuardQuery) -> CellKey {
-        (
-            token_bucket(q.prefill_new),
-            token_bucket(q.prefill_reused),
-            batch_bucket(q.decode_batch),
-            token_bucket(q.decode_context),
-            q.decode_sms,
-        )
+        let (new, reused, batch, context) = q.row();
+        (new, reused, batch, context, q.decode_sms)
     }
 }
 
@@ -311,6 +339,75 @@ mod tests {
     }
 
     #[test]
+    fn generation_tracks_every_change_a_factor_can_see() {
+        let q = GuardQuery {
+            prefill_new: 4000,
+            prefill_reused: 0,
+            decode_batch: 8,
+            decode_context: 4000,
+            decode_sms: 16,
+        };
+        let other = GuardQuery {
+            decode_sms: 48,
+            ..q
+        };
+        let mut g = ContentionGuard::flat(1.0);
+        let mut last = g.generation();
+        let mut bumped = |g: &ContentionGuard| {
+            let b = g.generation() != last;
+            last = g.generation();
+            b
+        };
+        // A new cell bumps even at the floor value.
+        g.observe(&q, 1.0);
+        assert!(bumped(&g), "new cell");
+        // A raised cell that also raises the global max.
+        g.observe(&q, 1.3);
+        assert!(bumped(&g), "raised cell and global max");
+        assert_eq!(g.max_slowdown(), 1.3);
+        // A new cell below the global max.
+        g.observe(&other, 1.1);
+        assert!(bumped(&g), "new cell below the global max");
+        // A raised cell that stays below the global max.
+        g.observe(&other, 1.2);
+        assert!(bumped(&g), "raised cell");
+        assert_eq!(g.max_slowdown(), 1.3, "the global max did not move");
+        // Observations that change nothing: equal, lower, sub-1.0.
+        for s in [1.2, 1.15, 0.5] {
+            g.observe(&other, s);
+            assert!(!bumped(&g), "no-op observation {s} bumped");
+        }
+        g.invalidate();
+        assert!(bumped(&g), "invalidate");
+        assert_eq!(g.factor(&q), 1.3, "cleared cells answer the global max");
+        // `invalidate` bumps even on an already-empty grid.
+        g.invalidate();
+        assert!(bumped(&g));
+    }
+
+    #[test]
+    fn row_is_the_cell_without_the_sm_dimension() {
+        let q = GuardQuery {
+            prefill_new: 9_000,
+            prefill_reused: 100,
+            decode_batch: 32,
+            decode_context: 40_000,
+            decode_sms: 16,
+        };
+        assert_eq!(q.row(), (2, 0, 5, 3));
+        assert_eq!(
+            GuardQuery {
+                decode_sms: 96,
+                ..q
+            }
+            .row(),
+            q.row()
+        );
+        let (a, b, c, d) = q.row();
+        assert_eq!(ContentionGuard::key(&q), (a, b, c, d, 16));
+    }
+
+    #[test]
     fn guard_covers_ground_truth_on_fresh_samples() {
         // The whole point: predicted worst case ≥ actual co-run latency
         // for configurations *near* profiled cells.
@@ -349,5 +446,14 @@ mod tests {
         assert_eq!(token_bucket(200_000), 4);
         assert_eq!(batch_bucket(1), 0);
         assert_eq!(batch_bucket(32), 5);
+    }
+
+    #[test]
+    fn batch_bucket_is_rounded_log2() {
+        assert_eq!(batch_bucket(0), 0);
+        for bs in 1..=1usize << 22 {
+            let float = (bs as f64).log2().round() as u8;
+            assert_eq!(batch_bucket(bs), float, "batch {bs}");
+        }
     }
 }

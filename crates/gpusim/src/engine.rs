@@ -108,7 +108,6 @@ struct Ctx {
 struct Group {
     gpus: Vec<u32>,
     ctxs: Vec<Ctx>,
-    created_at: SimTime,
     /// Integrated `sm_share × quality × dt` for utilization reporting.
     util_accum: f64,
     accounted_from: SimTime,
@@ -394,7 +393,6 @@ impl GpuSim {
         self.groups.push(Group {
             gpus,
             ctxs: Vec::new(),
-            created_at: self.now,
             util_accum: 0.0,
             accounted_from: self.now,
             alive: true,
@@ -500,16 +498,6 @@ impl GpuSim {
         &self.groups[group.0].gpus
     }
 
-    /// When a group was created.
-    pub fn group_created_at(&self, group: GroupId) -> SimTime {
-        self.groups[group.0].created_at
-    }
-
-    /// The group a kernel was submitted to.
-    pub fn kernel_group(&self, kernel: KernelId) -> GroupId {
-        self.kernels.get(kernel).group
-    }
-
     /// Submits a kernel to a context's FIFO queue. The kernel cannot start
     /// before `ready_at` (use this to model host-side launch latency).
     /// `tag` is an opaque payload returned on completion.
@@ -594,11 +582,6 @@ impl GpuSim {
     /// True if the context has no queued or running kernels.
     pub fn is_idle(&self, group: GroupId, ctx: CtxId) -> bool {
         self.queue_len(group, ctx) == 0
-    }
-
-    /// The tag a kernel was submitted with.
-    pub fn kernel_tag(&self, kernel: KernelId) -> u64 {
-        self.kernels.get(kernel).tag
     }
 
     // ----- time advancement ------------------------------------------------
@@ -1140,8 +1123,8 @@ impl GpuSim {
 
     // ----- accounting -------------------------------------------------------
 
-    /// Aggregated GPU utilization of a group since accounting was last
-    /// reset: SM-share × intra-SM quality, integrated over time (the
+    /// Aggregated GPU utilization of a group since its creation:
+    /// SM-share × intra-SM quality, integrated over time (the
     /// Nsight-style metric of Table 5). Returns 0 for a zero-length
     /// window.
     pub fn utilization(&self, group: GroupId) -> f64 {
@@ -1164,18 +1147,6 @@ impl GpuSim {
             1.0
         } else {
             (c.busy.as_secs() / window).min(1.0)
-        }
-    }
-
-    /// Resets utilization windows (e.g. after warm-up).
-    pub fn reset_accounting(&mut self) {
-        for g in &mut self.groups {
-            g.util_accum = 0.0;
-            g.accounted_from = self.now;
-            for c in &mut g.ctxs {
-                c.busy = SimDuration::ZERO;
-                c.created_at = self.now;
-            }
         }
     }
 }

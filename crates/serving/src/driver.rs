@@ -124,11 +124,20 @@ pub trait Scheduler: Send {
     fn on_transfer_done(&mut self, _tag: u64, _ctx: &mut ServeCtx) {}
     /// A timer fired.
     fn on_timer(&mut self, _tag: u64, _ctx: &mut ServeCtx) {}
-    /// Compute groups for utilization accounting (defaults to none).
+    /// Compute groups for utilization accounting. Defaults to the
+    /// groups of [`Scheduler::streams`], each once, in order of first
+    /// appearance; a scheduler whose groups run no stream it reports
+    /// overrides it.
     fn groups(&self) -> Vec<GroupId> {
-        Vec::new()
+        let mut groups = Vec::new();
+        for (g, _) in self.streams() {
+            if !groups.contains(&g) {
+                groups.push(g);
+            }
+        }
+        groups
     }
-    /// Compute streams for bubble-ratio accounting.
+    /// Compute streams for bubble-ratio accounting (defaults to none).
     fn streams(&self) -> Vec<(GroupId, CtxId)> {
         Vec::new()
     }
@@ -188,19 +197,20 @@ pub trait Scheduler: Send {
     /// The simulator accepts work for it again; the scheduler should
     /// resume launching.
     fn on_gpu_recovered(&mut self, _gpu: u32, _ctx: &mut ServeCtx) {}
-    /// `(total decode iterations, macro-coalesced iterations)` —
-    /// telemetry for engines with a macro-stepped decode fast path.
-    /// Coalesced launches are bit-identical to full ones, so this never
-    /// affects results; the default (for engines without the
-    /// optimization) reports zero.
+    /// `(decode iterations launched, 0)` — telemetry only. The second
+    /// element counted iterations of a macro-stepped decode fast path;
+    /// no engine has one, so it is always zero. The default (for
+    /// engines that do not count) reports zero for both. The shape is
+    /// kept because perfbench's hook-counting wrapper
+    /// (`perfbench/src/probe.rs`) forwards every hook; it changes when
+    /// the `Scheduler` contract shrinks.
     fn decode_iter_stats(&self) -> (u64, u64) {
         (0, 0)
     }
-    /// Toggle the macro-stepped decode fast path at runtime. Coalesced
-    /// launches are bit-identical to single-step ones by construction;
-    /// this hook exists so equivalence tests can run the same engine
-    /// both ways through `Box<dyn Scheduler>`. Engines without the
-    /// optimization ignore it.
+    /// Does nothing: no engine has a macro-stepped decode path to
+    /// toggle. Declared only because perfbench's hook-counting wrapper
+    /// forwards every hook; it goes when the `Scheduler` contract
+    /// shrinks.
     fn set_macro_steps(&mut self, _on: bool) {}
 }
 

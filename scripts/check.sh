@@ -5,7 +5,7 @@
 # Fast paths while iterating:
 #   ./scripts/check.sh serving         # just the serving crate's tests
 #   ./scripts/check.sh fleet           # fleet crate + fleet integration tests, then simlint
-#   ./scripts/check.sh macro           # gpusim + serving + core tests, macro-step equivalence, then simlint
+#   ./scripts/check.sh macro           # gpusim + serving + estimator + core + baselines tests, stepping equivalence, then simlint
 #   ./scripts/check.sh chaos-smoke     # fault-injection smoke grid only
 #   ./scripts/check.sh recovery-smoke  # GPU fail-stop crash/recover grid only
 #   ./scripts/check.sh lint            # simlint invariant pass only
@@ -31,7 +31,7 @@ if [[ "${1:-}" == "fleet" ]]; then
 fi
 
 if [[ "${1:-}" == "macro" ]]; then
-    cargo test -q -p gpusim -p serving -p muxwise
+    cargo test -q -p gpusim -p serving -p estimator -p muxwise -p baselines
     cargo test -q -p integration-tests --test macro_equivalence
     cargo run --release -q -p simlint
     exit 0

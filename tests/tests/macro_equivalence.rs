@@ -1,19 +1,23 @@
-//! Macro-stepped decode is a pure launch-path optimization: every
-//! engine must produce a bit-identical [`Report`] with the fast path
-//! enabled or disabled, under clean runs, degradation windows, and
-//! crash schedules. Also guards scratch-buffer hygiene: back-to-back
-//! runs in one process must equal a fresh run (no state leaks through
-//! reused or process-level scratch).
+//! Where and how often a run is stepped must not change what it
+//! computes. An `Instance` stepped through arbitrary bounds — including
+//! bounds on, and a nanosecond either side of, kernel completions —
+//! must equal one unbounded run and never step past a bound; and
+//! back-to-back runs in one process must equal a fresh run (no state
+//! leaks through reused or process-level scratch).
+//!
+//! The file keeps its historical name: it once A/B-tested each
+//! engine's macro-stepped decode fast path against the full launch
+//! path. Those fast paths are gone — every engine has one decode-launch
+//! path — and so are those tests.
 
 use baselines::{ChunkedPrefill, LoongServe, SglangPd, TemporalMux, WindServe};
 use estimator::SoloPredictor;
 use gpusim::{ClusterSpec, CtxId, GpuSim, GroupId};
 use modelspec::{ModelSpec, Parallelism};
 use muxwise::{Estimators, MuxWise, MuxWiseConfig};
-use proptest::prelude::*;
 use serving::{
     CrashVictim, Driver, EngineCounters, FaultKind, FaultPlan, LeaseTable, Report, ReqId,
-    Scheduler, ServeCtx, SloSpec, StepOutcome, WatchdogConfig,
+    Scheduler, ServeCtx, SloSpec, WatchdogConfig,
 };
 use simcore::{SimDuration, SimRng, SimTime};
 use workload::{generate, WorkloadKind};
@@ -76,58 +80,6 @@ fn run_one(engine: &mut dyn Scheduler, plan: FaultPlan, seed: u64, n: usize) -> 
         .with_faults(plan)
         .with_watchdog(WatchdogConfig::default())
         .run(engine)
-}
-
-/// Runs the named engine twice — macro-stepping on, then off — and
-/// returns both reports plus the on-run's `(iters, coalesced)` stats.
-fn run_both_ways(
-    idx: usize,
-    plan: &FaultPlan,
-    seed: u64,
-    n: usize,
-) -> (Report, Report, (u64, u64)) {
-    let (_, mut fast) = engines().remove(idx);
-    fast.set_macro_steps(true);
-    let rep_fast = run_one(fast.as_mut(), plan.clone(), seed, n);
-    let stats = fast.decode_iter_stats();
-
-    let (_, mut slow) = engines().remove(idx);
-    slow.set_macro_steps(false);
-    let rep_slow = run_one(slow.as_mut(), plan.clone(), seed, n);
-    (rep_fast, rep_slow, stats)
-}
-
-/// Clean run + a crash-bearing schedule: macro on == macro off for all
-/// seven engines, and the engines that implement the fast path actually
-/// coalesce (the equivalence would be vacuous otherwise).
-#[test]
-fn macro_stepping_is_bit_identical_for_every_engine() {
-    let plans = [
-        ("clean", FaultPlan::default()),
-        // Intensity 0.8 draws degradation windows AND fail-stop crashes
-        // (crash draws activate above ~0.25), so the macro disarm paths
-        // for on_gpu_lost/on_gpu_recovered are exercised.
-        (
-            "crashy",
-            FaultPlan::generate_with_crashes(0xC4A5, 0.8, 15.0, 8),
-        ),
-    ];
-    for (plan_name, plan) in &plans {
-        for (idx, (name, _)) in engines().iter().enumerate() {
-            let (fast, slow, (iters, coalesced)) = run_both_ways(idx, plan, 0x3AC0, 30);
-            assert_eq!(
-                &fast, &slow,
-                "{name}/{plan_name}: macro-stepped report diverged from single-step"
-            );
-            if matches!(*name, "muxwise" | "chunked" | "nanoflow") {
-                assert!(
-                    iters > 0 && coalesced > 0,
-                    "{name}/{plan_name}: fast path never armed \
-                     ({coalesced}/{iters} coalesced) — equivalence is vacuous"
-                );
-            }
-        }
-    }
 }
 
 /// Back-to-back runs in one process equal each other exactly: no state
@@ -200,34 +152,25 @@ impl Scheduler for CompletionLog {
     fn on_gpu_recovered(&mut self, gpu: u32, ctx: &mut ServeCtx) {
         self.inner.on_gpu_recovered(gpu, ctx);
     }
-    fn decode_iter_stats(&self) -> (u64, u64) {
-        self.inner.decode_iter_stats()
-    }
-    fn set_macro_steps(&mut self, on: bool) {
-        self.inner.set_macro_steps(on);
-    }
 }
 
 /// What one bounded run observed: the report, the simulator's event
-/// count, each `step_until` outcome with the instance time it left, the
-/// instants of the completion callbacks the driver delivered, and the
-/// engine's macro-coalesced decode iterations.
+/// count, the instance time each `step_until` left, and the instants of
+/// the completion callbacks the driver delivered.
 struct BoundedRun {
     report: Report,
     events: u64,
-    steps: Vec<(StepOutcome, SimTime)>,
+    stopped_at: Vec<SimTime>,
     done_at: Vec<SimTime>,
-    coalesced: u64,
 }
 
 /// Steps a MuxWise `Instance` through `bounds` and then to the end.
-fn run_bounded(macro_on: bool, plan: &FaultPlan, bounds: &[SimTime]) -> BoundedRun {
+fn run_bounded(plan: &FaultPlan, bounds: &[SimTime]) -> BoundedRun {
     let (_, inner) = engines().remove(0);
     let mut engine = CompletionLog {
         inner,
         done_at: Vec::new(),
     };
-    engine.set_macro_steps(macro_on);
     let cluster = ClusterSpec::dgx_a100();
     let mut rng = SimRng::seed_from(0xB0_0D);
     let reqs = generate(WorkloadKind::ShareGpt, 30, 2.0, &mut rng);
@@ -236,28 +179,27 @@ fn run_bounded(macro_on: bool, plan: &FaultPlan, bounds: &[SimTime]) -> BoundedR
         .with_faults(plan.clone())
         .with_watchdog(WatchdogConfig::default())
         .into_instance(&mut engine);
-    let mut steps = Vec::new();
+    let mut stopped_at = Vec::new();
     for &b in bounds {
-        let outcome = inst.step_until(&mut engine, b);
-        steps.push((outcome, inst.now()));
+        inst.step_until(&mut engine, b);
+        stopped_at.push(inst.now());
     }
     inst.step_until(&mut engine, SimTime::MAX);
     let (report, events) = inst.finish(&mut engine);
     BoundedRun {
         report,
         events,
-        steps,
-        coalesced: engine.decode_iter_stats().1,
+        stopped_at,
         done_at: engine.done_at,
     }
 }
 
 /// An `Instance` stepped at random bounds — and at bounds landing
 /// exactly on, and a nanosecond either side of, kernel completions —
-/// reports the same with macro stepping on and off, and never steps a
-/// lone decode kernel past a bound.
+/// reports, counts events and delivers completions exactly as one
+/// unbounded run does, and never steps past a bound.
 #[test]
-fn bounded_stepping_is_bit_identical_with_macro_on_and_off() {
+fn bounded_stepping_is_bit_identical_to_an_unbounded_run() {
     let plans = [
         ("clean", FaultPlan::default()),
         (
@@ -266,15 +208,10 @@ fn bounded_stepping_is_bit_identical_with_macro_on_and_off() {
         ),
     ];
     for (plan_name, plan) in &plans {
-        // Every completion instant, from a run that delivers each one
-        // through the driver.
-        let BoundedRun {
-            report: unbounded,
-            done_at,
-            ..
-        } = run_bounded(false, plan, &[]);
+        let unbounded = run_bounded(plan, &[]);
+        let done_at = &unbounded.done_at;
         assert!(done_at.len() > 100, "{plan_name}: too few completions");
-        let end = unbounded.makespan.as_secs();
+        let end = unbounded.report.makespan.as_secs();
         let mut rng = SimRng::seed_from(0x5EED);
         let mut bounds: Vec<SimTime> = (0..40)
             .map(|_| SimTime::from_secs(rng.uniform(0.0, end)))
@@ -285,48 +222,18 @@ fn bounded_stepping_is_bit_identical_with_macro_on_and_off() {
         }
         bounds.sort();
         bounds.dedup();
-        let fast = run_bounded(true, plan, &bounds);
-        let slow = run_bounded(false, plan, &bounds);
+        let bounded = run_bounded(plan, &bounds);
         assert_eq!(
-            &fast.report, &slow.report,
-            "{plan_name}: bounded macro-stepped report diverged"
+            &bounded.report, &unbounded.report,
+            "{plan_name}: bounded report diverged from the unbounded run"
         );
-        assert_eq!(fast.events, slow.events, "{plan_name}: event counts differ");
-        // Both stop at the same instant with the same outcome, never
-        // past a bound, and deliver the same completions.
-        assert_eq!(fast.steps, slow.steps, "{plan_name}: step outcomes differ");
-        for (&(_, now), &b) in fast.steps.iter().zip(&bounds) {
+        assert_eq!(
+            bounded.events, unbounded.events,
+            "{plan_name}: event counts differ"
+        );
+        assert_eq!(&bounded.done_at, done_at, "{plan_name}: completions differ");
+        for (&now, &b) in bounded.stopped_at.iter().zip(&bounds) {
             assert!(now <= b, "{plan_name}: stepped to {now} past the bound {b}");
-        }
-        assert_eq!(
-            fast.done_at, slow.done_at,
-            "{plan_name}: completions differ"
-        );
-        assert!(
-            fast.coalesced > 0,
-            "{plan_name}: no macro step taken — equivalence is vacuous"
-        );
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(4))]
-
-    /// Randomized fault schedules (degradation + crashes): macro on ==
-    /// macro off across every engine, for any (seed, intensity).
-    #[test]
-    fn macro_stepping_equivalence_holds_under_random_faults(
-        seed in 0u64..1_000,
-        intensity in 0.0f64..1.0,
-    ) {
-        let plan = FaultPlan::generate_with_crashes(seed, intensity, 15.0, 8);
-        for (idx, (name, _)) in engines().iter().enumerate() {
-            let (fast, slow, _) = run_both_ways(idx, &plan, seed, 12);
-            prop_assert_eq!(
-                &fast, &slow,
-                "{}: macro-stepped report diverged (seed {}, intensity {})",
-                name, seed, intensity
-            );
         }
     }
 }
